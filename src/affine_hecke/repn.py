@@ -26,8 +26,9 @@ from .errors import (EmptyRegion, MixedCosetExact, NotRegular, NotSkew,
                      NumericIllConditioned, TooLarge, UndefinedTau,
                      UnsupportedType)
 from .regions import LocalRegion, chamber_set_pruned, is_skew
-from .rootsys import (RootSystem, WeylElt, mat_transpose, solve_linear, vec,
-                      vec_dot, vec_neg, vec_sub)
+from .rootsys import (RootSystem, WeylElt, _rank_nullspace, _solve_in_span,
+                      mat_transpose, solve_linear, vec, vec_dot, vec_neg,
+                      vec_sub)
 from .scalars import ExactScalar, near
 from .weights import TRIVIAL_TAG, Weight
 
@@ -165,17 +166,6 @@ def _char_is_one(t: Weight, mu) -> bool:
     return c == 0
 
 
-def _char_is_q_pm2(t: Weight, mu) -> bool:
-    if t.tag_of(mu) != TRIVIAL_TAG:
-        return False
-    c = vec_dot(t.gamma, mu)
-    if t.ell is not None:
-        if c.denominator != 1:
-            return False
-        return int(c) % t.ell in (1, t.ell - 1)
-    return c == 1 or c == -1
-
-
 # ---------------------------------------------------------------------------
 # generic matrix helpers (tuple-of-tuples, exact or complex entries)
 # ---------------------------------------------------------------------------
@@ -237,85 +227,6 @@ def _mat_power(a, k: int, ops):
     return out
 
 
-def _rref(rows, ncols: int, ops, pivot_limit: int | None = None):
-    """In-place reduced row echelon form; returns the pivot column list.
-
-    pivot_limit restricts pivot search to the first columns, which is how the
-    subspace solvers detect inconsistency (a pivot needed past the limit).
-    """
-    limit = ncols if pivot_limit is None else pivot_limit
-    if not ops.exact:
-        scale = max((abs(x) for r in rows for x in r), default=0.0)
-        zero_tol = ops.tol * max(1.0, scale)
-    pivots = []
-    r = 0
-    for c in range(limit):
-        if r >= len(rows):
-            break
-        if ops.exact:
-            p = next((k for k in range(r, len(rows))
-                      if not rows[k][c].is_zero()), None)
-        else:
-            p = max(range(r, len(rows)), key=lambda k: abs(rows[k][c]))
-            if abs(rows[p][c]) <= zero_tol:
-                p = None
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        piv = rows[r][c]
-        rows[r] = [x / piv for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r:
-                f = rows[k][c]
-                if not ops.is_zero(f):
-                    rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
-def _rank_nullspace(rows, ops):
-    """(rank, nullspace basis) of the linear map given by the stacked rows."""
-    if not rows:
-        return 0, ()
-    ncols = len(rows[0])
-    work = [list(r) for r in rows]
-    pivots = _rref(work, ncols, ops)
-    pivot_set = set(pivots)
-    zero, one = ops.zero(), ops.one()
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [zero] * ncols
-        v[f] = one
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = -work[row_idx][f]
-        basis.append(tuple(v))
-    return len(pivots), tuple(basis)
-
-
-def _solve_in_span(basis_mat, target_mat, ops):
-    """C with basis_mat . C = target_mat; ValueError if the target leaves the span.
-
-    basis_mat is d x m with independent columns, target_mat is d x k.
-    """
-    d, m = len(basis_mat), len(basis_mat[0]) if basis_mat else 0
-    k = len(target_mat[0]) if target_mat else 0
-    work = [list(basis_mat[i]) + list(target_mat[i]) for i in range(d)]
-    pivots = _rref(work, m + k, ops, pivot_limit=m)
-    zero = ops.zero()
-    # rows with no pivot must be zero across the target block
-    for idx in range(len(pivots), d):
-        if any(not ops.is_zero(work[idx][m + j]) for j in range(k)):
-            raise ValueError("target is not in the span of the basis")
-    sol = [[zero] * k for _ in range(m)]
-    for row_idx, pc in enumerate(pivots):
-        for j in range(k):
-            sol[pc][j] = work[row_idx][m + j]
-    return tuple(tuple(row) for row in sol)
-
-
 def _mat_inverse(a, ops):
     n = len(a)
     try:
@@ -328,10 +239,6 @@ def _columns(vectors):
     """Stack length-d vectors as the columns of a d x m matrix."""
     d = len(vectors[0])
     return tuple(tuple(v[i] for v in vectors) for i in range(d))
-
-
-def _column(mat, j):
-    return tuple(row[j] for row in mat)
 
 
 def _mat_vec(a, x, ops):
@@ -1013,12 +920,10 @@ def commutant_dim(rep: ModuleRep, method: str = "auto",
     """Dimension of the algebra of matrices commuting with all generators.
 
     auto prefers the structural shortcut (diagonal X with pairwise distinct
-    characters forces diagonal commutants), then exact elimination for tiny
-    modules, then a numeric singular value count.
+    characters forces diagonal commutants), which works at any dimension,
+    then a numeric singular value count (dim <= 24); method="exact" runs
+    exact elimination instead. The dense solves need dim <= 200.
     """
-    d = rep.dim
-    if d > 200:
-        raise TooLarge(f"commutant solve needs dim <= 200, got {d}")
     if method in ("auto", "graph"):
         via_graph = _graph_commutant(rep, tol)
         if via_graph is not None:
@@ -1026,6 +931,9 @@ def commutant_dim(rep: ModuleRep, method: str = "auto",
         if method == "graph":
             raise ValueError(
                 "graph method needs diagonal X with distinct characters")
+    d = rep.dim
+    if d > 200:
+        raise TooLarge(f"commutant solve needs dim <= 200, got {d}")
     if method == "exact":
         return _exact_commutant(rep)
     return _numeric_commutant(rep, tol)
@@ -1143,13 +1051,6 @@ def generalized_weight_basis(rep: ModuleRep, t: Weight):
     return basis
 
 
-def x_restriction(rep: ModuleRep, basis_mat, mu):
-    """Coordinate matrix of X^mu on an invariant column span."""
-    ops = rep._ops
-    return _solve_in_span(basis_mat, _mat_mul(rep.x_power(vec(mu)), basis_mat,
-                                              ops), ops)
-
-
 @dataclass(frozen=True)
 class TauOperator:
     """A local intertwiner between two generalized weight spaces."""
@@ -1161,15 +1062,6 @@ class TauOperator:
     source_basis: tuple
     target_basis: tuple
     matrix: tuple
-
-    def apply(self, vector):
-        """Image of an ambient vector lying in the source space."""
-        ops = self.rep._ops
-        col = tuple((x,) for x in vector)
-        coords = _solve_in_span(self.source_basis, col, ops)
-        out = _mat_mul(self.target_basis,
-                       _mat_mul(self.matrix, coords, ops), ops)
-        return _column(out, 0)
 
     def is_invertible(self) -> bool:
         ops = self.rep._ops

@@ -6,16 +6,19 @@ simple roots e_{i+1} - e_i; type C lives in R^n with simple roots
 coordinates. All realizations carry the standard inner product, so Weyl
 elements are orthogonal matrices and inverse = transpose.
 
-A Weyl element's canonical form is the tuple of images of the simple roots;
-two elements are equal iff those tuples agree. Reduced words are derived
-lazily by descent stripping and are lexicographically least.
+A Weyl element is its exact ambient matrix, and two elements are equal iff
+their matrices agree. Reduced words are derived lazily by descent stripping
+and are lexicographically least.
+
+Exact Gaussian elimination lives here once (_rref) and serves every caller:
+solve_linear over Fractions, and the module code over exact or complex
+scalars through an ops object.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from .errors import GroupTooLarge, UnsupportedType
@@ -81,35 +84,113 @@ def identity_matrix(n):
     return tuple(tuple(F1 if i == j else F0 for j in range(n)) for i in range(n))
 
 
-def solve_linear(rows, rhs):
-    """Solve A x = b exactly for a full-column-rank A; returns None if inconsistent."""
-    m = [list(r) + [b] for r, b in zip(rows, rhs)]
-    nrows, ncols = len(m), len(m[0]) - 1
-    piv_rows = []
+class _FractionOps:
+    """Scalar ops for the elimination helpers below, over Fractions."""
+
+    exact = True
+
+    @staticmethod
+    def zero():
+        return F0
+
+    @staticmethod
+    def one():
+        return F1
+
+    @staticmethod
+    def is_zero(x) -> bool:
+        return x == 0
+
+
+def _rref(rows, ncols: int, ops, pivot_limit: int | None = None):
+    """In-place reduced row echelon form; returns the pivot column list.
+
+    pivot_limit restricts pivot search to the first columns, which is how the
+    subspace solvers detect inconsistency (a pivot needed past the limit).
+    Exact ops take the first nonzero pivot; numeric ops pivot on the largest
+    entry and treat entries up to tol * max(1, largest entry) as zero.
+    """
+    limit = ncols if pivot_limit is None else pivot_limit
+    if not ops.exact:
+        scale = max((abs(x) for r in rows for x in r), default=0.0)
+        zero_tol = ops.tol * max(1.0, scale)
+    pivots = []
     r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        piv_rows.append(c)
-        r += 1
-        if r == nrows:
+    for c in range(limit):
+        if r >= len(rows):
             break
-    x = [F0] * ncols
-    for row_i, c in enumerate(piv_rows):
-        x[c] = m[row_i][-1]
-    # consistency check
-    for i in range(nrows):
-        if all(m[i][c] == 0 for c in range(ncols)) and m[i][-1] != 0:
-            return None
-    return tuple(x)
+        if ops.exact:
+            p = next((k for k in range(r, len(rows))
+                      if not ops.is_zero(rows[k][c])), None)
+        else:
+            p = max(range(r, len(rows)), key=lambda k: abs(rows[k][c]))
+            if abs(rows[p][c]) <= zero_tol:
+                p = None
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        piv = rows[r][c]
+        rows[r] = [x / piv for x in rows[r]]
+        for k in range(len(rows)):
+            if k != r:
+                f = rows[k][c]
+                if not ops.is_zero(f):
+                    rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def _rank_nullspace(rows, ops):
+    """(rank, nullspace basis) of the linear map given by the stacked rows."""
+    if not rows:
+        return 0, ()
+    ncols = len(rows[0])
+    work = [list(r) for r in rows]
+    pivots = _rref(work, ncols, ops)
+    pivot_set = set(pivots)
+    zero, one = ops.zero(), ops.one()
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [zero] * ncols
+        v[f] = one
+        for row_idx, pc in enumerate(pivots):
+            v[pc] = -work[row_idx][f]
+        basis.append(tuple(v))
+    return len(pivots), tuple(basis)
+
+
+def _solve_in_span(basis_mat, target_mat, ops):
+    """C with basis_mat . C = target_mat; ValueError if the target leaves the span.
+
+    basis_mat is d x m, target_mat is d x k. Unknowns of dependent columns
+    of basis_mat are set to zero.
+    """
+    d, m = len(basis_mat), len(basis_mat[0]) if basis_mat else 0
+    k = len(target_mat[0]) if target_mat else 0
+    work = [list(basis_mat[i]) + list(target_mat[i]) for i in range(d)]
+    pivots = _rref(work, m + k, ops, pivot_limit=m)
+    zero = ops.zero()
+    # rows with no pivot must be zero across the target block
+    for idx in range(len(pivots), d):
+        if any(not ops.is_zero(work[idx][m + j]) for j in range(k)):
+            raise ValueError("target is not in the span of the basis")
+    sol = [[zero] * k for _ in range(m)]
+    for row_idx, pc in enumerate(pivots):
+        for j in range(k):
+            sol[pc][j] = work[row_idx][m + j]
+    return tuple(tuple(row) for row in sol)
+
+
+def solve_linear(rows, rhs):
+    """Solve A x = b exactly, free unknowns set to 0; None if inconsistent."""
+    try:
+        sol = _solve_in_span(rows, tuple((b,) for b in rhs), _FractionOps)
+    except ValueError:
+        return None
+    return tuple(row[0] for row in sol)
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +344,6 @@ class RootSystem:
     def simple_coefficients(self, root):
         """Coordinates of a positive root in the simple-root basis."""
         return self._simple_coeffs[root]
-
-    def root_height(self, root) -> Fraction:
-        return sum(self._simple_coeffs[root])
 
     # -- lattice --------------------------------------------------------------
 
@@ -462,9 +540,8 @@ def build(type_label: str, rank: int, lattice_mode: str = "P") -> RootSystem:
 class WeylElt:
     """A Weyl group element, stored as its exact ambient matrix.
 
-    The matrix determines and is determined by the canonical form (the tuple
-    of images of the simple roots), since reflections fix the orthogonal
-    complement of the root span pointwise.
+    Two elements are equal iff their matrices are equal. Each root system
+    keeps one instance per matrix.
     """
 
     __slots__ = ("rs", "matrix", "_len", "_inv", "_word", "_inverse")
@@ -495,9 +572,6 @@ class WeylElt:
 
     def is_identity(self) -> bool:
         return self.matrix == identity_matrix(self.rs.dim)
-
-    def canonical_form(self):
-        return tuple(self.act(a) for a in self.rs.simple_roots)
 
     # -- length, inversions, words --------------------------------------------
 
@@ -597,9 +671,3 @@ def element_from_one_line(rs: RootSystem, images) -> WeylElt:
     for k, j in enumerate(images):
         mat[abs(j) - 1][k] = F1 if j > 0 else -F1
     return rs._elt(tuple(tuple(row) for row in mat))
-
-
-@lru_cache(maxsize=None)
-def cached_build(type_label: str, rank: int, lattice_mode: str = "P") -> RootSystem:
-    """Shared instances so Weyl element caches are reused across calls."""
-    return RootSystem(type_label, rank, lattice_mode)

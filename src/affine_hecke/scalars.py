@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DivisionByZero, PoleAtSpecialization, ScaleMismatch
 
@@ -289,19 +289,23 @@ class ExactScalar:
 
     def __hash__(self):
         if self._hash is None:
-            # hash is scale-independent on constants; that is enough here
-            self._hash = hash((self.num, self.den))
+            # equal values at different scales must hash alike: hash the value
+            # at its least scale, where v^k becomes v for the largest k that
+            # divides the scale and every exponent in use
+            k = self.scale
+            for poly in (self.num, self.den):
+                for i, c in enumerate(poly):
+                    if c:
+                        k = gcd(k, i)
+            num, den = self.num[::k], self.den[::k]
+            if den == (_ONE,) and len(num) <= 1:
+                # constants compare equal to rationals, so hash like them
+                self._hash = hash(num[0] if num else _ZERO)
+            else:
+                self._hash = hash((num, den, self.scale // k))
         return self._hash
 
     # -- conversions --------------------------------------------------------
-
-    def as_rational(self) -> Fraction:
-        """The value as a rational, when the function is constant."""
-        if not self.num:
-            return Fraction(0)
-        if len(self.num) == 1 and self.den == (_ONE,):
-            return self.num[0]
-        raise ValueError("not a constant")
 
     def specialize(self, q0: complex) -> complex:
         """Evaluate at q = q0 via the principal branch of q0^(1/scale)."""

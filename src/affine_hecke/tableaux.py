@@ -169,11 +169,6 @@ class BijectionReport:
 # ---------------------------------------------------------------------------
 
 
-def _signed_key(i: int) -> int:
-    # signed index order -n < ... < -1 < 1 < ... < n is plain integer order
-    return i
-
-
 def _basis_vec(dim: int, j: int, i: int) -> tuple:
     """eps_j - eps_i with signed 1-based indices (eps_-k = -eps_k)."""
     v = [Fraction(0)] * dim
@@ -219,9 +214,10 @@ def _closure_gate(t: Weight, J: frozenset) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _least_positions(nodes, lower_edges) -> dict:
-    """Least nonnegative solution of x[v] >= x[u] + w over the given edges."""
-    x = {b: 0 for b in nodes}
+def _least_positions(nodes, lower_edges, start=None) -> dict:
+    """Least solution x >= start of x[v] >= x[u] + w over the given edges
+    (start defaults to zero everywhere)."""
+    x = {b: 0 for b in nodes} if start is None else dict(start)
     for _ in range(len(nodes) + 1):
         changed = False
         for u, v, w in lower_edges:
@@ -243,7 +239,7 @@ def _slide_east(nodes, content_of, lower_in, ceilings, succ, x) -> dict:
     from southeast to northwest; values only ever increase, so the loop is
     a monotone fixpoint and terminates.
     """
-    order = sorted(nodes, key=lambda b: (content_of[b], -_signed_key(b)))
+    order = sorted(nodes, key=lambda b: (content_of[b], -b))
     for _ in range(2 * len(nodes) + 8):
         changed = False
         for b in order:
@@ -264,18 +260,20 @@ def _slide_east(nodes, content_of, lower_in, ceilings, succ, x) -> dict:
 
 
 def _solve_page(nodes, content_of, pairs, chains):
-    """x coordinates for one page from its Z chains and P flags.
+    """x coordinates for one page from its Z chains and P flags, with the
+    lower edges and ceilings they were solved under.
 
     Lower bounds: consecutive boxes of a diagonal differ by at least one
     column; a SE pair pushes the later box strictly east; a NW pair keeps
     the earlier box weakly east of the later one (weight-zero edge) and
-    caps the later box at the earlier box's column.
+    caps the later box at the earlier box's column.  Wrap pairs do not
+    constrain the picture.  Every ceiling is also a weight-zero lower edge,
+    so checking the lower bounds checks the ceilings too.
     """
-    lower_edges = []
+    lower_edges = [(u, v, 1) for chain in chains
+                   for u, v in zip(chain, chain[1:])]
+    succ = {u: v for u, v, _ in lower_edges}
     ceilings = {b: [] for b in nodes}
-    for chain in chains:
-        for u, v in zip(chain, chain[1:]):
-            lower_edges.append((u, v, 1))
     for p in pairs:
         if p.kind != "P" or p.wrap:
             continue
@@ -284,23 +282,15 @@ def _solve_page(nodes, content_of, pairs, chains):
         else:
             lower_edges.append((p.j, p.i, 0))
             ceilings[p.j].append(p.i)
-    succ = {}
-    for chain in chains:
-        for u, v in zip(chain, chain[1:]):
-            succ[u] = v
-    x = _least_positions(nodes, lower_edges)
     lower_in = {b: [] for b in nodes}
     for u, v, w in lower_edges:
         lower_in[v].append((u, w))
+    x = _least_positions(nodes, lower_edges)
     x = _slide_east(nodes, content_of, lower_in, ceilings, succ, x)
     for u, v, w in lower_edges:
         if x[v] < x[u] + w:
             raise HeckeError("placement violates a lower bound")
-    for b in nodes:
-        for c in ceilings[b]:
-            if x[b] > x[c]:
-                raise HeckeError("placement violates a northwest ceiling")
-    return x
+    return x, lower_edges, ceilings
 
 
 def _page_components(nodes, content_of):
@@ -317,8 +307,7 @@ def _page_components(nodes, content_of):
     runs.append(current)
     out = []
     for run in runs:
-        members = sorted((b for b in nodes if content_of[b] in run),
-                         key=_signed_key)
+        members = sorted(b for b in nodes if content_of[b] in run)
         out.append((run[0], run[-1], members))
     return out
 
@@ -329,7 +318,8 @@ def _render_page(nodes, content_of, pairs, chains) -> dict:
     Components are rendered independently and stacked along the staircase:
     the next component starts one column east per missing diagonal between
     them, so a skew shape broken only by empty diagonals still reads as a
-    single picture.
+    single picture.  Pairs and chains may reach beyond the page; each
+    component keeps those inside it.
     """
     placements = {}
     prev_max_x = None
@@ -338,7 +328,7 @@ def _render_page(nodes, content_of, pairs, chains) -> dict:
         member_set = set(members)
         sub_pairs = [p for p in pairs if p.i in member_set and p.j in member_set]
         sub_chains = [ch for ch in chains if ch[0] in member_set]
-        x = _solve_page(members, content_of, sub_pairs, sub_chains)
+        x, _, _ = _solve_page(members, content_of, sub_pairs, sub_chains)
         base = min(x.values())
         if prev_max_x is None:
             offset = -base
@@ -367,28 +357,7 @@ def _render_symmetric_page(nodes, content_of, pairs, chains) -> dict:
     x[b] + x[-b] are equalised by repeatedly lifting each box to the
     rotation of its mirror and re-closing the lower bounds.
     """
-    lower_edges = []
-    ceilings = {b: [] for b in nodes}
-    for chain in chains:
-        for u, v in zip(chain, chain[1:]):
-            lower_edges.append((u, v, 1))
-    for p in pairs:
-        if p.kind != "P":
-            continue
-        if p.flag == "SE":
-            lower_edges.append((p.i, p.j, 1))
-        else:
-            lower_edges.append((p.j, p.i, 0))
-            ceilings[p.j].append(p.i)
-    succ = {}
-    for chain in chains:
-        for u, v in zip(chain, chain[1:]):
-            succ[u] = v
-    x = _least_positions(nodes, lower_edges)
-    lower_in = {b: [] for b in nodes}
-    for u, v, w in lower_edges:
-        lower_in[v].append((u, w))
-    x = _slide_east(nodes, content_of, lower_in, ceilings, succ, x)
+    x, lower_edges, ceilings = _solve_page(nodes, content_of, pairs, chains)
 
     def sums():
         return {x[b] + x[-b] for b in nodes}
@@ -419,12 +388,10 @@ def _render_symmetric_page(nodes, content_of, pairs, chains) -> dict:
             need = target - x[b] - x[-b]
             if need > 0:
                 lift_side(b, need)
-        x = _least_positions_from(nodes, lower_edges, x)
+        # returns only once every lower bound holds again
+        x = _least_positions(nodes, lower_edges, x)
     if len(sums()) != 1:
         raise HeckeError("rotation symmetrisation failed to converge")
-    for u, v, w in lower_edges:
-        if x[v] < x[u] + w:
-            raise HeckeError("placement violates a lower bound")
     base = min(x.values())
     k = max(x[b] - base - content_of[b] for b in nodes)
     out = {}
@@ -439,19 +406,6 @@ def _render_symmetric_page(nodes, content_of, pairs, chains) -> dict:
     if len(sx) != 1 or len(sy) != 1:
         raise HeckeError("page is not stable under rotation")
     return out
-
-
-def _least_positions_from(nodes, lower_edges, start) -> dict:
-    x = dict(start)
-    for _ in range(len(nodes) + 1):
-        changed = False
-        for u, v, w in lower_edges:
-            if x[u] + w > x[v]:
-                x[v] = x[u] + w
-                changed = True
-        if not changed:
-            return x
-    raise HeckeError("placement constraints contain a cycle")
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +454,14 @@ def skew_to_region(lam, mu=(), placement=0):
 
 def configuration_to_skew(config: PlacedConfiguration):
     """(lam, mu, placement) of the canonical picture of a one-page finite
-    configuration, provided it is literally a skew shape."""
+    configuration, provided it is literally a skew shape.
+
+    The result is normalised, so it need not repeat the shape the region
+    came from: the picture sits against column 1 (columns empty in every
+    row are dropped), mu has one entry per row of lam (zeros included), and
+    placement is chosen so every box keeps its content.  For example the
+    region of (3, 2)/(1, 1) comes back as ((2, 1), (0, 0), 1), and
+    skew_to_region gives the same region for both."""
     if config.mode != "finite":
         raise UnsupportedType("skew shapes live on finite type A pages")
     cells = config.cells()
@@ -534,8 +495,9 @@ def _page_label(c: Fraction) -> Fraction:
     return c - (c.numerator // c.denominator)
 
 
-def _make_pairs(gamma, J, n, zp, wrap_ell=None):
-    """Z and P pairs among boxes 1..n with contents gamma (already arranged).
+def _make_pairs(indices, content_of, J, zp, wrap_ell=None):
+    """Z and P pairs (a, b), a < b, among the boxes with the given indices
+    (signed in type C, where the ambient dimension is the largest index).
 
     zp = (Z, P) from the weight; wrap_ell marks pairs whose contents differ
     by ell - 1 as wrap pairs, flagged by the root-of-unity placement table:
@@ -543,15 +505,18 @@ def _make_pairs(gamma, J, n, zp, wrap_ell=None):
     the reverse of the rule inside one period.
     """
     Z, P = zp
+    indices = sorted(indices)
+    n = indices[-1]
     pairs = []
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
+    for k, a in enumerate(indices):
+        for b in indices[k + 1:]:
             root = _basis_vec(n, b, a)
             if root in Z:
                 pairs.append(BoxPair(a, b, root, "Z", False, None))
             elif root in P:
                 in_J = root in J
-                wrap = wrap_ell is not None and gamma[b - 1] - gamma[a - 1] != 1
+                wrap = (wrap_ell is not None
+                        and content_of[b] - content_of[a] != 1)
                 if wrap:
                     flag = "SE" if in_J else "NW"
                 else:
@@ -566,7 +531,7 @@ def _chains(indices, content_of, page_of):
         by_diag.setdefault((page_of[b], content_of[b]), []).append(b)
     chains = []
     for key in sorted(by_diag, key=lambda k: (str(k[0]), k[1])):
-        chains.append(tuple(sorted(by_diag[key], key=_signed_key)))
+        chains.append(tuple(sorted(by_diag[key])))
     return tuple(chains)
 
 
@@ -602,19 +567,16 @@ def region_to_configuration(t, J) -> PlacedConfiguration:
     _closure_gate(t, J)
     content_of = {b: gamma[b - 1] for b in range(1, n + 1)}
     page_of = {b: _page_label(gamma[b - 1]) for b in range(1, n + 1)}
-    pairs = _make_pairs(gamma, J, n, t.zp_sets())
+    pairs = _make_pairs(range(1, n + 1), content_of, J, t.zp_sets())
     chains = _chains(range(1, n + 1), content_of, page_of)
     boxes = []
     for lab in seen:
         members = [b for b in range(1, n + 1) if page_of[b] == lab]
-        mset = set(members)
-        sub_pairs = [p for p in pairs if p.i in mset and p.j in mset]
-        sub_chains = [ch for ch in chains if ch[0] in mset]
-        placed = _render_page(members, content_of, sub_pairs, sub_chains)
+        placed = _render_page(members, content_of, pairs, chains)
         for b in members:
             x, y = placed[b]
             boxes.append(Box(b, content_of[b], lab, x, y))
-    boxes.sort(key=lambda bb: _signed_key(bb.index))
+    boxes.sort(key=lambda bb: bb.index)
     return PlacedConfiguration(
         mode="finite", case=None, ell=None, t=t, J=J,
         boxes=tuple(boxes), pairs=pairs, z_chains=chains, period=None, n=n)
@@ -693,12 +655,18 @@ def _has_order_cycle(indices, edges) -> bool:
 def enumerate_standard(config: PlacedConfiguration, cap=None):
     """All standard fillings, in increasing lexicographic order of their
     entry tuples.  Guarded by a size cap (override with the cap argument or
-    the AFFINE_HECKE_ENUM_CAP environment variable)."""
+    the AFFINE_HECKE_ENUM_CAP environment variable).
+
+    Fillings are the linear extensions of the order edges: values are dealt
+    in increasing order, each to a box whose predecessors all hold smaller
+    values.  In type C only -n..-1 are dealt; dealing -v to box b puts v in
+    the mirror box -b, which takes that box out of play.  The edge set is
+    closed under (u, v) -> (-v, -u), so the forced values 1..n respect it.
+    """
     limit = _enum_cap(config.mode, cap)
     if config.n > limit:
         raise TooLarge(f"{config.n} boxes exceeds the enumeration cap {limit}")
-    if config.mode == "typec":
-        return _enumerate_signed(config)
+    signed = config.mode == "typec"
     indices = [b.index for b in config.boxes]
     edges = _order_edges(config)
     if _has_order_cycle(indices, edges):
@@ -708,77 +676,32 @@ def enumerate_standard(config: PlacedConfiguration, cap=None):
     for u, v in edges:
         succs[u].append(v)
         preds[v] += 1
+    last = -1 if signed else config.n
     entry = {}
     out = []
-    avail = sorted(b for b in indices if preds[b] == 0)
 
     def rec(value, avail):
-        if value > config.n:
+        if value > last:
             out.append(tuple(entry[b] for b in indices))
             return
-        for b in list(avail):
+        for b in avail:
             entry[b] = value
-            nxt = [a for a in avail if a != b]
+            if signed:
+                entry[-b] = -value
+            nxt = [a for a in avail if a not in entry]
             for v in succs[b]:
                 preds[v] -= 1
-                if preds[v] == 0:
+                if preds[v] == 0 and v not in entry:
                     nxt.append(v)
             rec(value + 1, sorted(nxt))
             for v in succs[b]:
                 preds[v] += 1
             del entry[b]
+            if signed:
+                del entry[-b]
 
-    rec(1, avail)
-    out.sort()
-    return tuple(StandardFilling(tuple(indices), e) for e in out)
-
-
-def _enumerate_signed(config: PlacedConfiguration):
-    """Backtracking over signed fillings p with p(-b) = -p(b)."""
-    indices = [b.index for b in config.boxes]
-    n = config.n
-    require = []   # (a, b) meaning p_a < p_b in the signed order
-    for chain in config.z_chains:
-        for u, v in zip(chain, chain[1:]):
-            require.append((u, v))
-    for p in config.pairs:
-        if p.kind != "P":
-            continue
-        require.append((p.j, p.i) if p.in_J else (p.i, p.j))
-    by_box = {}
-    for a, b in require:
-        by_box.setdefault(abs(a), []).append((a, b))
-        by_box.setdefault(abs(b), []).append((a, b))
-    entry = {}
-    out = []
-
-    def value_of(b):
-        v = entry.get(abs(b))
-        if v is None:
-            return None
-        return v if b > 0 else -v
-
-    def consistent(k):
-        for a, b in by_box.get(k, ()):
-            va, vb = value_of(a), value_of(b)
-            if va is not None and vb is not None and va >= vb:
-                return False
-        return True
-
-    def rec(k, used):
-        if k > n:
-            out.append(tuple(value_of(b) for b in indices))
-            return
-        for m in range(1, n + 1):
-            if m in used:
-                continue
-            for v in (-m, m):
-                entry[k] = v
-                if consistent(k):
-                    rec(k + 1, used | {m})
-            del entry[k]
-
-    rec(1, frozenset())
+    rec(-config.n if signed else 1,
+        sorted(b for b in indices if preds[b] == 0))
     out.sort()
     return tuple(StandardFilling(tuple(indices), e) for e in out)
 
@@ -805,7 +728,7 @@ def validate_filling(config: PlacedConfiguration, filling) -> tuple:
     order for type C)."""
     if not isinstance(filling, StandardFilling):
         filling = filling_from_entries(config, filling)
-    val = dict(zip(filling.indices, filling.entries))
+    val = filling.as_dict()
     bad = []
     if config.mode == "typec":
         pos = sorted(abs(v) for i, v in val.items() if i > 0)
@@ -849,7 +772,7 @@ def filling_to_word(config: PlacedConfiguration, filling):
     if bad:
         pairs = sorted((v["i"], v["j"]) for v in bad if v["i"] is not None)
         raise NotStandard(f"filling violates standardness at {pairs}")
-    val = dict(zip(filling.indices, filling.entries))
+    val = filling.as_dict()
     word = tuple(val[b] for b in range(1, config.n + 1))
     w = element_from_one_line(config.t.rs, word)
     content_of_entry = {}
@@ -969,7 +892,7 @@ def conjugate_filling(config: PlacedConfiguration, filling):
     conj = regions.conjugate(config.region)
     u = conj.u.one_line()
     cfg2 = region_to_configuration(conj.region.t, conj.region.J)
-    val = dict(zip(filling.indices, filling.entries))
+    val = filling.as_dict()
     entries2 = {u[b - 1]: val[b] for b in range(1, config.n + 1)}
     f2 = filling_from_entries(cfg2, [entries2[b] for b in range(1, config.n + 1)])
     if validate_filling(cfg2, f2):
@@ -1084,7 +1007,8 @@ def periodic_configuration(t, J, ell=None) -> PlacedConfiguration:
         raise JNotSubsetOfP("J must consist of roots with t(X^alpha) = q^(+-2)")
     content_of = {b: gamma[b - 1] for b in range(1, n + 1)}
     page_of = {b: Fraction(0) for b in range(1, n + 1)}
-    pairs = _make_pairs(gamma, J, n, t.zp_sets(), wrap_ell=ell)
+    pairs = _make_pairs(range(1, n + 1), content_of, J, t.zp_sets(),
+                        wrap_ell=ell)
     chains = _chains(range(1, n + 1), content_of, page_of)
     try:
         placed = _render_page(list(range(1, n + 1)), content_of, pairs, chains)
@@ -1105,7 +1029,7 @@ def periodic_configuration(t, J, ell=None) -> PlacedConfiguration:
 
 
 def _typec_case(gamma) -> str:
-    fracs = {c - (c.numerator // c.denominator) for c in gamma}
+    fracs = {_page_label(c) for c in gamma}
     if len(fracs) != 1:
         raise CaseMismatch("entries must share one fractional part")
     f = fracs.pop()
@@ -1144,30 +1068,13 @@ def typec_configuration(t, J, case: str) -> PlacedConfiguration:
         raise JNotSubsetOfP("J must consist of roots with t(X^alpha) = q^(+-2)")
     _closure_gate(t, J)
     indices = list(range(-n, 0)) + list(range(1, n + 1))
+    f = _page_label(gamma[0]) if case == "beta" else Fraction(0)
     content_of = {}
     for b in range(1, n + 1):
-        c = gamma[b - 1] if case != "beta" else gamma[b - 1] - _page_frac(gamma)
-        content_of[b] = c
-        content_of[-b] = -c
-    if case == "beta":
-        f = _page_frac(gamma)
-        page_of = {b: (f if b > 0 else -f) for b in indices}
-    else:
-        page_of = {b: Fraction(0) for b in indices}
-    Z, _ = t.zp_sets()
-    pairs = []
-    for a in indices:
-        for b in indices:
-            if not _signed_key(a) < _signed_key(b):
-                continue
-            root = _basis_vec(n, b, a)
-            if root in Z:
-                pairs.append(BoxPair(a, b, root, "Z", False, None))
-            elif root in P:
-                in_J = root in J
-                pairs.append(BoxPair(a, b, root, "P", in_J,
-                                     "NW" if in_J else "SE"))
-    pairs = tuple(pairs)
+        content_of[b] = gamma[b - 1] - f
+        content_of[-b] = -content_of[b]
+    page_of = {b: (f if b > 0 else -f) for b in indices}
+    pairs = _make_pairs(indices, content_of, J, t.zp_sets())
     for p in pairs:
         if page_of[p.i] != page_of[p.j]:
             raise CaseMismatch("a coupled pair of boxes crosses pages")
@@ -1179,10 +1086,7 @@ def typec_configuration(t, J, case: str) -> PlacedConfiguration:
     boxes = {}
     if case == "beta":
         pos = list(range(1, n + 1))
-        pos_set = set(pos)
-        sub_pairs = [p for p in pairs if p.i in pos_set and p.j in pos_set]
-        sub_chains = [ch for ch in chains if ch[0] in pos_set]
-        placed = _render_page(pos, content_of, sub_pairs, sub_chains)
+        placed = _render_page(pos, content_of, pairs, chains)
         mx = max(x for x, _ in placed.values())
         my = max(y for _, y in placed.values())
         for b in pos:
@@ -1197,15 +1101,10 @@ def typec_configuration(t, J, case: str) -> PlacedConfiguration:
         if xs != sorted(xs) or len(set(xs)) != len(xs):
             raise HeckeError("diagonal order must follow the signed index order")
     box_list = tuple(Box(b, content_of[b], page_of[b], *boxes[b])
-                     for b in sorted(indices, key=_signed_key))
+                     for b in indices)
     return PlacedConfiguration(
         mode="typec", case=case, ell=None, t=t, J=J,
         boxes=box_list, pairs=pairs, z_chains=chains, period=None, n=n)
-
-
-def _page_frac(gamma) -> Fraction:
-    c = gamma[0]
-    return c - (c.numerator // c.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -1217,7 +1116,7 @@ def render_text(config: PlacedConfiguration, filling=None) -> str:
     """ASCII picture, one block per page, y decreasing down the screen."""
     if filling is not None and not isinstance(filling, StandardFilling):
         filling = filling_from_entries(config, filling)
-    val = dict(zip(filling.indices, filling.entries)) if filling else None
+    val = filling.as_dict() if filling else None
     lines = []
     labels = config.pages()
     for lab in labels:

@@ -96,10 +96,6 @@ class Weight:
     def mode(self) -> str:
         return "generic" if self.ell is None else f"root_of_unity({self.ell})"
 
-    def polar(self):
-        """(exponent vector, coset tags): the torsion-free and torsion parts."""
-        return self.gamma, self.tags
-
     # -- evaluation -----------------------------------------------------------
 
     def tag_of(self, lam) -> tuple:
@@ -233,13 +229,6 @@ class Weight:
         w = element_from_one_line(rs, line)
         result = self.weyl_act(w)
         return result, w
-
-    def coset_groups(self) -> dict:
-        """Coordinate indices (0-based) grouped by coset tag."""
-        groups: dict[tuple, list[int]] = {}
-        for i, t in enumerate(self.tags):
-            groups.setdefault(t, []).append(i)
-        return groups
 
     # -- equality and display --------------------------------------------------
 

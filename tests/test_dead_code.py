@@ -1,0 +1,43 @@
+"""Every private helper of the library is used somewhere in the library."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "affine_hecke"
+
+
+def _private_defs(tree):
+    """Module-level functions and methods whose names start with one '_'."""
+    defs = []
+    for node in tree.body:
+        scopes = [node]
+        if isinstance(node, ast.ClassDef):
+            scopes = node.body
+        for item in scopes:
+            if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and item.name.startswith("_")
+                    and not item.name.endswith("__")):
+                defs.append(item.name)
+    return defs
+
+
+def _references(tree):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_no_private_helper_is_unreferenced():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert "rootsys.py" in trees
+    used = set().union(*(_references(tree) for tree in trees.values()))
+    dead = sorted(f"{module}:{name}" for module, tree in trees.items()
+                  for name in _private_defs(tree) if name not in used)
+    assert not dead, f"private helpers with no reference in src: {dead}"

@@ -14,6 +14,7 @@ from affine_hecke.errors import (
     MixedCosetExact,
     NotRegular,
     NotSkew,
+    TooLarge,
     UndefinedTau,
     UnsupportedType,
 )
@@ -487,6 +488,22 @@ def test_direct_sum_doubles_into_a_matrix_commutant():
     line = repn.principal_series(gamma_with_pairings(rs1, ("2",)))
     assert repn.commutant_dim(repn.direct_sum(line, line),
                               method="exact") == 4
+
+
+def test_structural_commutant_has_no_size_limit():
+    # diagonal X with distinct characters: the commutant is read off the T
+    # graph, here 100 linked pairs and 1 lone vertex
+    rs = build("A", 1)
+    d = 201
+    x = tuple(tuple(complex(k + 1) if r == k else 0j for k in range(d))
+              for r in range(d))
+    tm = tuple(tuple(1 + 0j if r == k or (r < 200 and k == r ^ 1) else 0j
+                     for k in range(d)) for r in range(d))
+    big = repn.ModuleRep.from_matrices(rs, range(d), [tm], [x],
+                                       backend="numeric", verify=False)
+    assert repn.commutant_dim(big) == 101
+    with pytest.raises(TooLarge):
+        repn.commutant_dim(big, method="exact")
 
 
 def test_commutant_methods_agree_on_a_simple_module():

@@ -56,6 +56,19 @@ def test_scale_coercion():
     assert (a / b) == b
 
 
+def test_equal_values_hash_alike_across_scales():
+    assert Q(1) == Q(1, scale=2)
+    assert len({Q(1), Q(1, scale=2)}) == 1
+    rng = random.Random(11)
+    for _ in range(50):
+        a = rand_scalar(rng)
+        assert hash(a) == hash(a.rescaled(6)) == hash(a.rescaled(6).rescaled(12))
+    assert ExactScalar.one(3) == 1 and hash(ExactScalar.one(3)) == hash(1)
+    assert hash(ExactScalar.zero(2)) == hash(0)
+    third = ExactScalar.from_rational(Fraction(1, 3), 4)
+    assert hash(third) == hash(Fraction(1, 3))
+
+
 def test_common_scale():
     assert common_scale(Fraction(1, 2), Fraction(1, 3)) == 6
     assert common_scale(1, 2, 3) == 1

@@ -1,0 +1,116 @@
+"""Placed configurations and standard fillings, checked against chamber sets.
+
+verify_bijection compares the standard fillings of a configuration with the
+chamber set computed by regions, so every test here checks the tableau route
+against the independent chamber route.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+
+from affine_hecke import regions as rg
+from affine_hecke import tableaux as tb
+from affine_hecke.errors import HeckeError
+from affine_hecke.rootsys import build
+from affine_hecke.weights import weight
+
+
+def skew_shapes(k):
+    """Every skew shape lam/mu with 2..k boxes inside the k x k box, with no
+    empty row and some row starting in column 1."""
+    out = []
+    for rows in range(1, k + 1):
+        for lam in itertools.combinations_with_replacement(range(k, 0, -1),
+                                                           rows):
+            for mu in itertools.combinations_with_replacement(
+                    range(k - 1, -1, -1), rows):
+                if mu[-1] != 0 or any(m >= l for m, l in zip(mu, lam)):
+                    continue
+                if 2 <= sum(lam) - sum(mu) <= k:
+                    out.append((lam, tuple(m for m in mu if m)))
+    return sorted(out)
+
+
+def subsets(roots):
+    roots = sorted(roots)
+    for r in range(len(roots) + 1):
+        yield from itertools.combinations(roots, r)
+
+
+SHAPES = skew_shapes(4)
+
+
+def test_the_shape_list_is_complete():
+    assert len(SHAPES) == 68
+
+
+@pytest.mark.parametrize("lam,mu", SHAPES, ids=[f"{l}/{m}" for l, m in SHAPES])
+def test_skew_shape_fillings_match_chambers(lam, mu):
+    gamma, J = tb.skew_to_region(lam, mu)
+    cfg = tb.region_to_configuration(gamma, J)
+    report = tb.verify_bijection(cfg)
+    assert report.ok, report.witness
+    assert report.filling_count == report.chamber_count > 0
+    assert tb.classify_configuration(cfg)[0] == rg.is_skew(cfg.region)
+    twice = tb.conjugate_configuration(tb.conjugate_configuration(cfg))
+    assert twice.t.gamma == cfg.t.gamma
+    assert twice.J == cfg.J
+
+
+def test_configuration_to_skew_normalises_the_picture():
+    # shifted west past the empty columns, mu padded with zeros, and the
+    # placement adjusted so that contents are unchanged
+    gamma, J = tb.skew_to_region((3, 2), (1, 1))
+    cfg = tb.region_to_configuration(gamma, J)
+    assert tb.configuration_to_skew(cfg) == ((2, 1), (0, 0), 1)
+    assert tb.skew_to_region((2, 1), (0, 0), 1) == (gamma, J)
+
+
+H = Fraction(1, 2)
+T = Fraction(1, 3)
+TYPEC_WEIGHTS = {
+    "beta": [(T, T, 1 + T), (T, 1 + T, 2 + T), (T - 1, T, T, 1 + T),
+             (T, T, 1 + T, 1 + T), (T, 1 + T, 1 + T, 2 + T)],
+    "half": [(H, H, 1 + H), (H, 1 + H, 2 + H), (H, H, 1 + H, 1 + H),
+             (H, 1 + H, 1 + H, 2 + H)],
+    "zero": [(0, 1, 1), (0, 1, 2), (0, 0, 1, 2), (0, 1, 1, 2)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(TYPEC_WEIGHTS))
+def test_typec_fillings_match_chambers(case):
+    accepted = 0
+    for gamma in TYPEC_WEIGHTS[case]:
+        t = weight(build("C", len(gamma)), gamma)
+        for J in subsets(t.zp_sets()[1]):
+            try:
+                cfg = tb.typec_configuration(t, J, case)
+            except HeckeError:
+                continue
+            accepted += 1
+            fillings = tb.enumerate_standard(cfg)
+            assert all(not tb.validate_filling(cfg, f) for f in fillings)
+            report = tb.verify_bijection(cfg)
+            assert report.ok, (gamma, J, report.witness)
+    assert accepted == {"beta": 31, "half": 62, "zero": 40}[case]
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5])
+def test_periodic_fillings_match_chambers(ell):
+    rs = build("A", 2, lattice_mode="GL")
+    accepted = rejected = 0
+    for gamma in itertools.combinations_with_replacement(range(ell), 3):
+        t = weight(rs, gamma, ell=ell)
+        for J in subsets(t.zp_sets()[1]):
+            try:
+                cfg = tb.periodic_configuration(t, J)
+            except HeckeError as exc:
+                assert type(exc) is not HeckeError
+                rejected += 1
+                continue
+            accepted += 1
+            report = tb.verify_bijection(cfg)
+            assert report.ok, (gamma, J, report.witness)
+    assert (accepted, rejected) == {3: (31, 4), 4: (50, 6), 5: (77, 8)}[ell]
