@@ -102,7 +102,7 @@ def _ideal(t: Weight, J: frozenset) -> list[WeylElt]:
     Z, P = t.zp_sets()
     gens = [rs.simple_reflection(i) for i in range(rs.rank)]
     simples = rs.simple_roots
-    seen = {rs.identity().matrix}
+    seen = {rs.identity()}
     out = [rs.identity()]
     frontier = [rs.identity()]
     while frontier:
@@ -117,9 +117,9 @@ def _ideal(t: Weight, J: frozenset) -> list[WeylElt]:
                 if new_root in P and new_root not in J:
                     continue
                 sw = s * w
-                if sw.matrix in seen:
+                if sw in seen:
                     continue
-                seen.add(sw.matrix)
+                seen.add(sw)
                 out.append(sw)
                 nxt.append(sw)
         frontier = nxt
@@ -266,7 +266,7 @@ def _upper_complement(t: Weight, integral: frozenset) -> tuple:
     """W^[gamma] = {sigma : R(sigma) cap R_[gamma] = empty}, by pruned BFS."""
     rs = t.rs
     simples = rs.simple_roots
-    seen = {rs.identity().matrix}
+    seen = {rs.identity()}
     out = [rs.identity()]
     frontier = [rs.identity()]
     while frontier:
@@ -277,9 +277,9 @@ def _upper_complement(t: Weight, integral: frozenset) -> tuple:
                 if not rs.is_positive_root(new_root) or new_root in integral:
                     continue
                 sw = rs.simple_reflection(i) * w
-                if sw.matrix in seen:
+                if sw in seen:
                     continue
-                seen.add(sw.matrix)
+                seen.add(sw)
                 out.append(sw)
                 nxt.append(sw)
         frontier = nxt
@@ -294,7 +294,7 @@ def _sub_interval(rs: RootSystem, sub_simples, lo: WeylElt, hi_set: frozenset,
     Walks up from lo by left multiplication by sub-simple reflections,
     pruning to sub-inversion sets inside hi_set.
     """
-    seen = {lo.matrix}
+    seen = {lo}
     out = [lo]
     frontier = [lo]
     while frontier:
@@ -307,9 +307,9 @@ def _sub_interval(rs: RootSystem, sub_simples, lo: WeylElt, hi_set: frozenset,
                 if new_root not in hi_set:
                     continue
                 y = rs.reflection(beta) * x
-                if y.matrix in seen:
+                if y in seen:
                     continue
-                seen.add(y.matrix)
+                seen.add(y)
                 out.append(y)
                 nxt.append(y)
         frontier = nxt
@@ -382,8 +382,8 @@ def interval_structure(t: Weight, J) -> IntervalStructure:
         if verification["endpoints_nested"]:
             upper = _upper_complement(t, integral)
             interval = _sub_interval(rs, simples, tau_lo, hi_target, integral)
-            product = {(sigma * x).matrix for sigma in upper for x in interval}
-            verification["product_matches"] = product == {w.matrix for w in F}
+            product = {sigma * x for sigma in upper for x in interval}
+            verification["product_matches"] = product == set(F)
 
     return IntervalStructure(
         w_min=w_min, w_max=w_max, tau_lo=tau_lo, tau_hi=tau_hi,

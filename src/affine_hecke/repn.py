@@ -493,14 +493,9 @@ def principal_series(t: Weight, backend: str = "auto", q0=None,
 # ---------------------------------------------------------------------------
 
 def _braid_order(rs: RootSystem, i: int, j: int) -> int:
-    s = rs.simple_reflection(i) * rs.simple_reflection(j)
-    w, m = s, 1
-    while not w.is_identity():
-        w = w * s
-        m += 1
-        if m > 6:
-            raise AssertionError("braid order out of range")
-    return m
+    """Order m_ij of s_i s_j, read from the Cartan product a_ij a_ji."""
+    a = rs.cartan_matrix
+    return {0: 2, 1: 3, 2: 4, 3: 6}[a[i][j] * a[j][i]]
 
 
 def _alternating_product(a, b, m: int, ops):

@@ -3,12 +3,17 @@
 Realizations: type A lives in R^n with positive roots e_j - e_i (i < j) and
 simple roots e_{i+1} - e_i; type C lives in R^n with simple roots
 2e_1, e_2 - e_1, ..., e_n - e_{n-1}; types B, D, G2 use the usual Bourbaki
-coordinates. All realizations carry the standard inner product, so Weyl
-elements are orthogonal matrices and inverse = transpose.
+coordinates. All realizations carry the standard inner product.
 
-A Weyl element is its exact ambient matrix, and two elements are equal iff
-their matrices agree. Reduced words are derived lazily by descent stripping
-and are lexicographically least.
+The 2N roots are indexed: the positive roots at 0..N-1 in (height, simple
+coefficients) order, then their negatives at N..2N-1 in the same order. A
+Weyl element is the permutation it induces on these indices, as in CHEVIE
+(Geck, Hiss, Luebeck, Malle, Pfeiffer, AAECC 7, 1996). Products compose
+index tuples, and inversion sets, descents and the lexicographically least
+reduced word are read off the permutation (Bjoerner and Brenti,
+Combinatorics of Coxeter Groups, GTM 231). Acting on a root is a lookup;
+acting on any other ambient vector uses an exact matrix built once per
+element on first use.
 
 Exact Gaussian elimination lives here once (_rref) and serves every caller:
 solve_linear over Fractions, and the module code over exact or complex
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .errors import GroupTooLarge, UnsupportedType
 
@@ -69,11 +74,6 @@ def vec_dot(a, b) -> Fraction:
 
 def mat_vec(m, x):
     return tuple(vec_dot(row, x) for row in m)
-
-
-def mat_mul(a, b):
-    bt = tuple(zip(*b))
-    return tuple(tuple(vec_dot(row, col) for col in bt) for row in a)
 
 
 def mat_transpose(m):
@@ -187,7 +187,8 @@ def _solve_in_span(basis_mat, target_mat, ops):
 def solve_linear(rows, rhs):
     """Solve A x = b exactly, free unknowns set to 0; None if inconsistent."""
     try:
-        sol = _solve_in_span(rows, tuple((b,) for b in rhs), _FractionOps)
+        sol = _solve_in_span(tuple(vec(row) for row in rows),
+                             tuple((Fraction(b),) for b in rhs), _FractionOps)
     except ValueError:
         return None
     return tuple(row[0] for row in sol)
@@ -228,11 +229,14 @@ class RootSystem:
         self.lattice_mode = lattice_mode
         self.simple_roots = self._simple_roots(type_label, rank)
         self.dim = len(self.simple_roots[0])
-        self._generate_roots()
+        simple_perms = self._generate_roots()
         self._compute_weights()
         self.key = (type_label, rank, lattice_mode)
         self._element_cache: dict = {}
+        self._reflections: dict = {}
         self._all_elements: tuple | None = None
+        self._identity = self._elt(tuple(range(len(self.roots))))
+        self._simple_reflections = tuple(self._elt(p) for p in simple_perms)
 
     # -- construction helpers ------------------------------------------------
 
@@ -276,35 +280,47 @@ class RootSystem:
         raise UnsupportedType(f"unsupported type {t!r}")
 
     def _generate_roots(self):
-        # close the simple roots under simple reflections
+        """Index the roots; return the root permutation of each s_i."""
+        # close the simple roots under simple reflections, carrying each
+        # root's coordinates in the simple-root basis:
+        # s_i(beta) = beta - <beta, a_i^vee> a_i
         simples = self.simple_roots
-        seen = set(simples)
+        coroots = [self.coroot(a) for a in simples]
+        r = len(simples)
+        coeffs = {a: tuple(F1 if k == i else F0 for k in range(r))
+                  for i, a in enumerate(simples)}
+        images = [{} for _ in simples]  # images[i][beta] = s_i(beta)
         frontier = list(simples)
         while frontier:
             nxt = []
             for beta in frontier:
-                for alpha in simples:
-                    img = reflect(alpha, beta)
-                    if img not in seen:
-                        seen.add(img)
+                for i, alpha in enumerate(simples):
+                    c = vec_dot(beta, coroots[i])
+                    img = vec_sub(beta, vec_scale(c, alpha))
+                    images[i][beta] = img
+                    if img not in coeffs:
+                        b = coeffs[beta]
+                        coeffs[img] = b[:i] + (b[i] - c,) + b[i + 1:]
                         nxt.append(img)
             frontier = nxt
         # positives: nonnegative coordinates in the simple-root basis
-        basis_rows = mat_transpose(simples)  # dim x rank
-        positives = []
-        for root in seen:
-            coeffs = solve_linear(basis_rows, root)
-            if coeffs is not None and all(c >= 0 for c in coeffs):
-                positives.append((sum(coeffs), coeffs, root))
-        positives.sort(key=lambda t: (t[0], t[1]))
+        positives = sorted((sum(cs), cs, root) for root, cs in coeffs.items()
+                           if all(c >= 0 for c in cs))
         self.positive_roots = tuple(p[2] for p in positives)
         self._simple_coeffs = {p[2]: p[1] for p in positives}
-        self.root_index = {r: i for i, r in enumerate(self.positive_roots)}
+        # all 2N roots: positives at 0..N-1, their negatives at N..2N-1
+        self.roots = self.positive_roots + tuple(
+            vec_neg(r) for r in self.positive_roots)
+        self.root_index = {r: i for i, r in enumerate(self.roots)}
+        # every realization here has integer root coordinates
+        self._root_coords = tuple(tuple(int(c) for c in r) for r in self.roots)
+        self._simple_index = tuple(self.root_index[a] for a in simples)
         self._pos_set = frozenset(self.positive_roots)
-        self._neg_set = frozenset(vec_neg(r) for r in self.positive_roots)
         expected = _POSITIVE_COUNTS[self.type_label](self.rank)
         if len(self.positive_roots) != expected:
             raise AssertionError("positive root count mismatch")
+        return tuple(tuple(self.root_index[img[b]] for b in self.roots)
+                     for img in images)
 
     def _compute_weights(self):
         # solve <w_i, a_j^vee> = delta_ij inside the span of the simple roots
@@ -323,6 +339,13 @@ class RootSystem:
             for c, a in zip(coeffs, simples):
                 omega = vec_add(omega, vec_scale(c, a))
             omegas.append(omega)
+        # d_i in the root span with <d_i, a_j> = delta_ij, for WeylElt.matrix,
+        # kept as (den, integer numerators of each d_i)
+        dual = [vec_scale(F2 / vec_dot(a, a), omega)
+                for a, omega in zip(simples, omegas)]
+        den = lcm(*(c.denominator for d in dual for c in d))
+        self._dual_basis = (den, tuple(tuple(int(c * den) for c in d)
+                                       for d in dual))
         if self.lattice_mode == "GL":
             # integral representatives in Z^n: w_i = e_{i+1} + ... + e_n
             n = self.dim
@@ -339,7 +362,7 @@ class RootSystem:
         return x in self._pos_set
 
     def is_root(self, x) -> bool:
-        return x in self._pos_set or x in self._neg_set
+        return x in self.root_index
 
     def simple_coefficients(self, root):
         """Coordinates of a positive root in the simple-root basis."""
@@ -378,27 +401,29 @@ class RootSystem:
     # -- Weyl elements ---------------------------------------------------------
 
     def identity(self) -> "WeylElt":
-        return self._elt(identity_matrix(self.dim))
+        return self._identity
 
     def simple_reflection(self, i: int) -> "WeylElt":
-        return self.reflection(self.simple_roots[i])
+        return self._simple_reflections[i]
 
     def reflection(self, alpha) -> "WeylElt":
-        alpha = vec(alpha)
-        if not self.is_root(alpha):
+        k = self.root_index.get(vec(alpha))
+        if k is None:
             raise ValueError("reflection requires a root")
-        co = self.coroot(alpha)
-        mat = tuple(
-            tuple((F1 if i == j else F0) - alpha[i] * co[j]
-                  for j in range(self.dim))
-            for i in range(self.dim))
-        return self._elt(mat)
-
-    def _elt(self, matrix) -> "WeylElt":
-        w = self._element_cache.get(matrix)
+        k %= len(self.positive_roots)
+        w = self._reflections.get(k)
         if w is None:
-            w = WeylElt(self, matrix)
-            self._element_cache[matrix] = w
+            alpha = self.roots[k]
+            w = self._elt(tuple(self.root_index[reflect(alpha, b)]
+                                for b in self.roots))
+            self._reflections[k] = w
+        return w
+
+    def _elt(self, perm) -> "WeylElt":
+        w = self._element_cache.get(perm)
+        if w is None:
+            w = WeylElt(self, perm)
+            self._element_cache[perm] = w
         return w
 
     def element_from_word(self, word) -> "WeylElt":
@@ -418,19 +443,19 @@ class RootSystem:
         if self.weyl_order() > limit:
             raise GroupTooLarge(
                 f"|W| = {self.weyl_order()} exceeds cap {limit}")
-        gens = [self.simple_reflection(i) for i in range(self.rank)]
-        seen = {self.identity().matrix: self.identity()}
+        gens = self._simple_reflections
+        seen = {self.identity()}
         frontier = [self.identity()]
         while frontier:
             nxt = []
             for w in frontier:
                 for s in gens:
                     ws = w * s
-                    if ws.matrix not in seen:
-                        seen[ws.matrix] = ws
+                    if ws not in seen:
+                        seen.add(ws)
                         nxt.append(ws)
             frontier = nxt
-        elements = sorted(seen.values(), key=lambda w: w.sort_key())
+        elements = sorted(seen, key=lambda w: w.sort_key())
         if len(elements) != self.weyl_order():
             raise AssertionError("Weyl enumeration count mismatch")
         self._all_elements = tuple(elements)
@@ -448,7 +473,7 @@ class RootSystem:
     def subgroup(self, generators, cap: int | None = None) -> tuple["WeylElt", ...]:
         """Enumerate the subgroup generated by the given elements."""
         limit = weyl_cap(cap)
-        seen = {self.identity().matrix: self.identity()}
+        seen = {self.identity()}
         frontier = [self.identity()]
         gens = list(generators)
         while frontier:
@@ -456,13 +481,13 @@ class RootSystem:
             for w in frontier:
                 for g in gens:
                     wg = w * g
-                    if wg.matrix not in seen:
+                    if wg not in seen:
                         if len(seen) >= limit:
                             raise GroupTooLarge(f"subgroup exceeds cap {limit}")
-                        seen[wg.matrix] = wg
+                        seen.add(wg)
                         nxt.append(wg)
             frontier = nxt
-        return tuple(sorted(seen.values(), key=lambda w: w.sort_key()))
+        return tuple(sorted(seen, key=lambda w: w.sort_key()))
 
     # -- closure on positive root subsets --------------------------------------
 
@@ -538,17 +563,23 @@ def build(type_label: str, rank: int, lattice_mode: str = "P") -> RootSystem:
 # ---------------------------------------------------------------------------
 
 class WeylElt:
-    """A Weyl group element, stored as its exact ambient matrix.
+    """A Weyl group element, stored as the permutation it induces on the roots.
 
-    Two elements are equal iff their matrices are equal. Each root system
-    keeps one instance per matrix.
+    perm[k] is the index in rs.roots of w(rs.roots[k]), so w sends the
+    positive root k to a negative root exactly when perm[k] >= N. Each root
+    system keeps one instance per permutation. Equality also compares the
+    root system, since B_n and C_n index their roots alike. The exact
+    ambient matrix is built on first use of `matrix`.
     """
 
-    __slots__ = ("rs", "matrix", "_len", "_inv", "_word", "_inverse")
+    __slots__ = ("rs", "perm", "_hash", "_matrix", "_len", "_inv", "_word",
+                 "_inverse")
 
-    def __init__(self, rs: RootSystem, matrix):
+    def __init__(self, rs: RootSystem, perm):
         self.rs = rs
-        self.matrix = matrix
+        self.perm = perm
+        self._hash = hash(perm)
+        self._matrix = None
         self._len = None
         self._inv = None
         self._word = None
@@ -557,58 +588,102 @@ class WeylElt:
     # -- basic group structure ----------------------------------------------
 
     def __mul__(self, other: "WeylElt") -> "WeylElt":
-        return self.rs._elt(mat_mul(self.matrix, other.matrix))
+        return self.rs._elt(tuple(map(self.perm.__getitem__, other.perm)))
 
     def inverse(self) -> "WeylElt":
         if self._inverse is None:
-            self._inverse = self.rs._elt(mat_transpose(self.matrix))
+            inv = [0] * len(self.perm)
+            for k, j in enumerate(self.perm):
+                inv[j] = k
+            self._inverse = self.rs._elt(tuple(inv))
+            self._inverse._inverse = self
         return self._inverse
 
+    @property
+    def matrix(self):
+        """Exact ambient matrix: w(x) = x + sum_i <x, d_i> (w(a_i) - a_i).
+
+        d_i is the basis of the root span dual to the simple roots a_i; w
+        fixes the orthogonal complement of that span.
+        """
+        if self._matrix is None:
+            rs = self.rs
+            den, dual = rs._dual_basis
+            n = rs.dim
+            coords = rs._root_coords
+            # den * matrix, in integers
+            rows = [[den if i == j else 0 for j in range(n)] for i in range(n)]
+            for k, d in zip(rs._simple_index, dual):
+                for p, (a, b) in enumerate(zip(coords[self.perm[k]],
+                                               coords[k])):
+                    if a != b:
+                        rows[p] = [x + (a - b) * y for x, y in zip(rows[p], d)]
+            # entries repeat, so build one Fraction per distinct value
+            frac = {x: Fraction(x, den) for x in set().union(*rows)}
+            self._matrix = tuple(tuple(frac[x] for x in row) for row in rows)
+        return self._matrix
+
     def act(self, x):
+        x = tuple(x)
+        k = self.rs.root_index.get(x)
+        if k is not None:
+            return self.rs.roots[self.perm[k]]
         return mat_vec(self.matrix, vec(x))
 
     def act_inverse(self, x):
-        return mat_vec(mat_transpose(self.matrix), vec(x))
+        return self.inverse().act(x)
 
     def is_identity(self) -> bool:
-        return self.matrix == identity_matrix(self.rs.dim)
+        return self.perm == self.rs.identity().perm
 
     # -- length, inversions, words --------------------------------------------
 
     def inversion_set(self) -> frozenset:
         """R(w) = positive roots sent negative by w."""
         if self._inv is None:
+            n = len(self.rs.positive_roots)
             self._inv = frozenset(
-                a for a in self.rs.positive_roots
-                if not self.rs.is_positive_root(self.act(a)))
+                a for a, j in zip(self.rs.positive_roots, self.perm) if j >= n)
         return self._inv
 
     def length(self) -> int:
         if self._len is None:
-            self._len = len(self.inversion_set())
+            n = len(self.rs.positive_roots)
+            self._len = sum(1 for j in self.perm[:n] if j >= n)
         return self._len
 
     def reduced_word(self) -> tuple[int, ...]:
-        """Lexicographically least reduced word, via left descent stripping."""
+        """Lexicographically least reduced word, via left descent stripping.
+
+        Its first letter is the least left descent i, that is the least i
+        with w^-1(a_i) < 0, and the rest is the word of s_i w, which is
+        cached on that element in turn.
+        """
         if self._word is None:
-            word = []
+            rs = self.rs
+            n = len(rs.positive_roots)
+            chain = []
             w = self
-            while True:
-                i = next((i for i in range(self.rs.rank)
-                          if not self.rs.is_positive_root(
-                              w.act_inverse(self.rs.simple_roots[i]))), None)
+            while w._word is None:
+                i = next((i for i, k in enumerate(rs._simple_index)
+                          if w.perm.index(k) >= n), None)
                 if i is None:
+                    w._word = ()
                     break
-                word.append(i)
-                w = self.rs.simple_reflection(i) * w
-            self._word = tuple(word)
+                chain.append((w, i))
+                w = rs.simple_reflection(i) * w
+            word = w._word
+            for v, i in reversed(chain):
+                word = (i,) + word
+                v._word = word
         return self._word
 
     def descent_set(self) -> frozenset:
         """Simple roots a_i with w s_i < w (right descents)."""
+        n = len(self.rs.positive_roots)
         return frozenset(
-            a for a in self.rs.simple_roots
-            if not self.rs.is_positive_root(self.act(a)))
+            a for a, k in zip(self.rs.simple_roots, self.rs._simple_index)
+            if self.perm[k] >= n)
 
     def weak_leq(self, other: "WeylElt") -> bool:
         return self.inversion_set() <= other.inversion_set()
@@ -638,11 +713,12 @@ class WeylElt:
         return tuple(out)
 
     def __eq__(self, other):
-        return (isinstance(other, WeylElt) and self.rs.key == other.rs.key
-                and self.matrix == other.matrix)
+        return self is other or (
+            isinstance(other, WeylElt) and self.rs.key == other.rs.key
+            and self.perm == other.perm)
 
     def __hash__(self):
-        return hash(self.matrix)
+        return self._hash
 
     def __repr__(self):
         word = self.reduced_word()
@@ -667,7 +743,12 @@ def element_from_one_line(rs: RootSystem, images) -> WeylElt:
         raise ValueError("type A elements are unsigned permutations")
     if rs.type_label == "D" and signs % 2:
         raise ValueError("type D elements flip an even number of signs")
-    mat = [[F0] * n for _ in range(n)]
-    for k, j in enumerate(images):
-        mat[abs(j) - 1][k] = F1 if j > 0 else -F1
-    return rs._elt(tuple(tuple(row) for row in mat))
+
+    def image(root):
+        # w(sum_k c_k e_k) = sum_k c_k sign(j_k) e_|j_k|
+        out = [F0] * n
+        for c, j in zip(root, images):
+            out[abs(j) - 1] = c if j > 0 else -c
+        return tuple(out)
+
+    return rs._elt(tuple(rs.root_index[image(r)] for r in rs.roots))

@@ -547,3 +547,24 @@ def test_relations_hold_for_random_rational_weights(pairings):
     assert sp.eigen_pass
     if sp.expansion_check is not None:
         assert sp.expansion_check
+
+
+BRAID_LADDER = ([("A", r, m) for r in range(2, 5) for m in ("P", "GL")]
+                + [("B", r, "P") for r in (2, 3, 4)]
+                + [("C", r, "P") for r in (2, 3)]
+                + [("D", r, "P") for r in (2, 3, 4)]
+                + [("G", 2, "P")])
+
+
+@pytest.mark.parametrize("label,rank,mode", BRAID_LADDER)
+def test_braid_orders_are_the_orders_of_s_i_s_j(label, rank, mode):
+    rs = build(label, rank, lattice_mode=mode)
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            m = repn._braid_order(rs, i, j)
+            s = rs.simple_reflection(i) * rs.simple_reflection(j)
+            powers = [s]
+            for _ in range(m - 1):
+                powers.append(powers[-1] * s)
+            assert powers[-1].is_identity()
+            assert not any(p.is_identity() for p in powers[:-1])

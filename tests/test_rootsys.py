@@ -1,7 +1,8 @@
 """Root system and Weyl group tests.
 
-The type A inversion-set oracle is computed straight from permutation
-combinatorics, independently of the matrix machinery under test.
+Weyl elements are permutations of the roots. Two oracles stand apart from
+that machinery: type A inversion sets computed straight from permutation
+combinatorics, and ambient matrices multiplied out from simple reflections.
 """
 
 import itertools
@@ -19,6 +20,7 @@ from affine_hecke.rootsys import (
     identity_matrix,
     mat_transpose,
     reflect,
+    solve_linear,
     vec,
 )
 
@@ -43,6 +45,53 @@ def perm_inversion_roots(perm):
                 root[i] = -1
                 out.add(vec(root))
     return frozenset(out)
+
+
+def reflection_matrix(alpha):
+    """I - alpha (alpha^vee)^T: the reflection in the hyperplane normal to alpha."""
+    norm = sum(c * c for c in alpha)
+    n = len(alpha)
+    return tuple(tuple((1 if i == j else 0) - 2 * alpha[i] * alpha[j] / norm
+                       for j in range(n)) for i in range(n))
+
+
+def matmul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b))
+                 for row in a)
+
+
+def matvec(m, x):
+    return tuple(sum(a * b for a, b in zip(row, x)) for row in m)
+
+
+def word_matrix(rs, word):
+    """Ambient matrix of s_{word[0]} ... s_{word[-1]}, a product of reflections."""
+    m = identity_matrix(rs.dim)
+    for i in word:
+        m = matmul(m, reflection_matrix(rs.simple_roots[i]))
+    return m
+
+
+def lex_least_reduced_words(rs):
+    """Matrix -> lexicographically least reduced word, by brute force.
+
+    Level l holds every reduced word of length l: a word is reduced exactly
+    when no shorter word reaches its matrix.
+    """
+    gens = [reflection_matrix(a) for a in rs.simple_roots]
+    best = {identity_matrix(rs.dim): ()}
+    level = {(): identity_matrix(rs.dim)}
+    while level:
+        nxt = {}
+        for word, m in level.items():
+            for i, g in enumerate(gens):
+                mg = matmul(m, g)
+                if mg not in best:
+                    nxt[word + (i,)] = mg
+        for word in sorted(nxt):
+            best.setdefault(nxt[word], word)
+        level = nxt
+    return best
 
 
 ORDERS = {("A", 1): 2, ("A", 2): 6, ("A", 3): 24, ("B", 2): 8, ("B", 3): 48,
@@ -74,6 +123,15 @@ def test_enumeration_cap():
     with pytest.raises(GroupTooLarge):
         rs.weyl_elements()
     assert len(build("A", 4).weyl_elements()) == 120
+
+
+def test_a6_enumerates_past_the_default_cap():
+    rs = build("A", 6)
+    elements = rs.weyl_elements(cap=5040)
+    assert len(elements) == len(set(elements)) == 5040
+    assert elements[0].is_identity()
+    assert elements[-1].length() == 21
+    assert elements[-1] == rs.long_element()
 
 
 def test_unsupported_inputs():
@@ -197,6 +255,58 @@ def test_inverse_is_transpose():
     for w in rs.weyl_elements():
         assert (w * w.inverse()).is_identity()
         assert w.inverse().matrix == mat_transpose(w.matrix)
+
+
+# ---------------------------------------------------------------------------
+# the permutation route against ambient matrices
+# ---------------------------------------------------------------------------
+
+LADDER = ([("A", r, m) for r in range(1, 5) for m in ("P", "GL")]
+          + [("B", r, "P") for r in (2, 3, 4)]
+          + [("C", r, "P") for r in (2, 3)]
+          + [("D", r, "P") for r in (2, 3, 4)]
+          + [("G", 2, "P")])
+
+
+@pytest.mark.parametrize("label,rank,mode", LADDER)
+def test_permutations_agree_with_reflection_matrices(label, rank, mode):
+    rs = build(label, rank, lattice_mode=mode)
+    positives = set(rs.positive_roots)
+    probes = rs.roots + rs.fundamental_weights
+    matrices = set()
+    for w in rs.weyl_elements():
+        m = word_matrix(rs, w.reduced_word())
+        matrices.add(m)
+        assert w.matrix == m
+        for x in probes:
+            assert w.act(x) == matvec(m, x)
+            assert w.inverse().act(w.act(x)) == x
+            assert w.act_inverse(w.act(x)) == x
+        assert w.inversion_set() == frozenset(
+            a for a in rs.positive_roots
+            if tuple(-c for c in matvec(m, a)) in positives)
+    assert len(matrices) == rs.weyl_order()
+    elements = rs.weyl_elements()
+    rng = random.Random(f"{label}{rank}{mode}")
+    for _ in range(50):
+        u, v = rng.choice(elements), rng.choice(elements)
+        for x in probes:
+            assert (u * v).act(x) == u.act(v.act(x))
+
+
+@pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("G", 2)])
+def test_reduced_words_are_lex_least_by_brute_force(label, rank):
+    rs = build(label, rank)
+    best = lex_least_reduced_words(rs)
+    assert len(best) == rs.weyl_order()
+    for w in rs.weyl_elements():
+        assert w.reduced_word() == best[w.matrix]
+
+
+def test_solve_linear_returns_fractions_for_integer_input():
+    sol = solve_linear(((1, 0), (0, 2)), (1, 1))
+    assert sol == (Fraction(1), Fraction(1, 2))
+    assert all(type(c) is Fraction for c in sol)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,19 @@ def test_skew_shape_fillings_match_chambers(lam, mu):
     assert twice.J == cfg.J
 
 
+@pytest.mark.parametrize("lam,mu", SHAPES, ids=[f"{l}/{m}" for l, m in SHAPES])
+def test_reading_tableaux_are_the_chamber_extremes(lam, mu):
+    gamma, J = tb.skew_to_region(lam, mu, 0)
+    cfg = tb.region_to_configuration(gamma, J)
+    p_min, p_max = tb.reading_tableaux(cfg)
+    chambers = rg.chamber_set_pruned(cfg.t, cfg.J)
+    assert tb.filling_to_word(cfg, p_min)[0] == chambers.elements[0]
+    ivs = rg.interval_structure(cfg.t, cfg.J)
+    assert tuple(p_max.entries) == ivs.w_max.one_line()
+    fillings = tb.enumerate_standard(cfg)
+    assert p_min in fillings and p_max in fillings
+
+
 def test_configuration_to_skew_normalises_the_picture():
     # shifted west past the empty columns, mu padded with zeros, and the
     # placement adjusted so that contents are unchanged
