@@ -27,8 +27,7 @@ from .rootsys import RootSystem, WeylElt, vec, vec_add, vec_dot, vec_neg, vec_su
 from .scalars import ExactScalar
 
 
-def _q_minus() -> ExactScalar:
-    return ExactScalar.q_power(1) - ExactScalar.q_power(-1)
+Q_MINUS = ExactScalar.q_power(1) - ExactScalar.q_power(-1)  # q - q^-1
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +263,7 @@ class AlgebraElt:
         s = rs.simple_reflection(i)
         alpha = rs.simple_roots[i]
         alpha_check = rs.coroot(alpha)
-        qm = _q_minus()
+        qm = Q_MINUS
         out: dict[tuple, ExactScalar] = {}
 
         def put(w, lam, c):
@@ -279,10 +278,8 @@ class AlgebraElt:
             # T_w X^lam T_i = T_w T_i X^{s_i lam} + (q - q^-1) T_w S
             ws = w * s
             s_lam = s.act(lam)
-            if (ws).length() > w.length():
-                put(ws, s_lam, c)
-            else:
-                put(ws, s_lam, c)
+            put(ws, s_lam, c)
+            if ws.length() < w.length():
                 put(w, s_lam, c * qm)
             m = int(vec_dot(lam, alpha_check))
             if m >= 0:

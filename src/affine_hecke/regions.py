@@ -2,10 +2,17 @@
 
 The chamber set F^(t,J) = {w in W : R(w) cap Z(t) empty, R(w) cap P(t) = J}
 is computed two ways: a brute-force filter over all of W (the oracle, capped)
-and a pruned breadth-first search over the weak-order ideal
-{w : R(w) cap Z(t) empty, R(w) cap P(t) subset J}, which never enumerates W
-and therefore scales to large symmetric groups. The two agree wherever both
-run; tests cross-check them on small ranks.
+and a walk up the weak order that never enumerates W and therefore scales to
+large symmetric groups. The two agree wherever both run; tests cross-check
+them on small ranks.
+
+Every weak-order search here is one walk, _walk_up, which climbs by steps
+x -> s_beta x that each add one allowed inversion. It gives the ideal
+{w : R(w) cap Z empty, R(w) cap P subset J} that chamber_set_pruned filters
+to F^(t,J), the coset part W^[gamma] = {sigma : R(sigma) cap R_[gamma] empty}
+and the interval [tau_lo, tau_hi] of the integral reflection subgroup, whose
+product is F^(t,J) (Bjoerner and Brenti, Combinatorics of Coxeter Groups,
+GTM 231, ch. 3).
 """
 
 from __future__ import annotations
@@ -18,7 +25,8 @@ from .errors import (
     NotDominant,
     UnsupportedType,
 )
-from .rootsys import RootSystem, WeylElt, reflect, vec_add, vec_dot, vec_neg
+from .rootsys import (RootSystem, WeylElt, reflect, sub_closure, vec_add,
+                      vec_dot, vec_neg)
 from .weights import Weight, invert_tag
 
 # ---------------------------------------------------------------------------
@@ -91,50 +99,45 @@ def chamber_set(t: Weight, J, cap: int | None = None) -> ChamberSet:
     return ChamberSet(t, J, tuple(hits))
 
 
-def _ideal(t: Weight, J: frozenset) -> list[WeylElt]:
-    """BFS over {w : R(w) cap Z = empty, R(w) cap P subset J}.
+def _walk_up(rs: RootSystem, start: WeylElt, roots, banned) -> tuple:
+    """Everything reachable from start by upward steps x -> s_beta x.
 
-    The set is a lower order ideal in the (left) weak order, so it is
-    reachable from the identity by steps w -> s_i w that each add the single
-    inversion w^{-1}(alpha_i).
+    A step by a root beta in `roots` adds the single inversion x^{-1}(beta);
+    it is taken when that root is positive and outside `banned`. The result
+    is sorted by (length, reduced word).
     """
-    rs = t.rs
-    Z, P = t.zp_sets()
-    gens = [rs.simple_reflection(i) for i in range(rs.rank)]
-    simples = rs.simple_roots
-    seen = {rs.identity()}
-    out = [rs.identity()]
-    frontier = [rs.identity()]
+    n = len(rs.positive_roots)
+    banned = {rs.root_index[a] for a in banned}
+    steps = [(rs.root_index[b], rs.reflection(b)) for b in roots]
+    seen = {start}
+    frontier = [start]
     while frontier:
         nxt = []
-        for w in frontier:
-            for i, s in enumerate(gens):
-                new_root = w.act_inverse(simples[i])
-                if not rs.is_positive_root(new_root):
-                    continue  # length would drop
-                if new_root in Z:
+        for x in frontier:
+            x_inv = x.inverse().perm
+            for k, s in steps:
+                j = x_inv[k]
+                if j >= n or j in banned:
                     continue
-                if new_root in P and new_root not in J:
-                    continue
-                sw = s * w
-                if sw in seen:
-                    continue
-                seen.add(sw)
-                out.append(sw)
-                nxt.append(sw)
+                y = s * x
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
         frontier = nxt
-    return out
+    return tuple(sorted(seen, key=lambda w: w.sort_key()))
 
 
 def chamber_set_pruned(t: Weight, J) -> ChamberSet:
-    """Same contract as chamber_set, but via the weak-order ideal BFS."""
+    """Same contract as chamber_set, but walks the weak-order ideal
+    {w : R(w) cap Z = empty, R(w) cap P subset J} up from the identity."""
     J = frozenset(tuple(a) for a in J)
-    _, P = t.zp_sets()
+    Z, P = t.zp_sets()
     if not J <= P:
         raise JNotSubsetOfP(f"J has {len(J - P)} roots outside P(t)")
-    hits = [w for w in _ideal(t, J) if w.inversion_set() & P == J]
-    hits.sort(key=lambda w: w.sort_key())
-    return ChamberSet(t, J, tuple(hits))
+    rs = t.rs
+    ideal = _walk_up(rs, rs.identity(), rs.simple_roots, Z | (P - J))
+    return ChamberSet(t, J, tuple(w for w in ideal
+                                  if w.inversion_set() & P == J))
 
 
 def fibers(t: Weight, cap: int | None = None) -> dict:
@@ -262,77 +265,6 @@ def _element_with_sub_inversions(rs: RootSystem, sub_simples, K: frozenset):
     return tau
 
 
-def _upper_complement(t: Weight, integral: frozenset) -> tuple:
-    """W^[gamma] = {sigma : R(sigma) cap R_[gamma] = empty}, by pruned BFS."""
-    rs = t.rs
-    simples = rs.simple_roots
-    seen = {rs.identity()}
-    out = [rs.identity()]
-    frontier = [rs.identity()]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i in range(rs.rank):
-                new_root = w.act_inverse(simples[i])
-                if not rs.is_positive_root(new_root) or new_root in integral:
-                    continue
-                sw = rs.simple_reflection(i) * w
-                if sw in seen:
-                    continue
-                seen.add(sw)
-                out.append(sw)
-                nxt.append(sw)
-        frontier = nxt
-    out.sort(key=lambda w: w.sort_key())
-    return tuple(out)
-
-
-def _sub_interval(rs: RootSystem, sub_simples, lo: WeylElt, hi_set: frozenset,
-                  integral: frozenset) -> tuple:
-    """Weak-order interval [lo, hi] inside the reflection subgroup.
-
-    Walks up from lo by left multiplication by sub-simple reflections,
-    pruning to sub-inversion sets inside hi_set.
-    """
-    seen = {lo}
-    out = [lo]
-    frontier = [lo]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for beta in sub_simples:
-                new_root = x.act_inverse(beta)
-                if not rs.is_positive_root(new_root):
-                    continue
-                if new_root not in hi_set:
-                    continue
-                y = rs.reflection(beta) * x
-                if y in seen:
-                    continue
-                seen.add(y)
-                out.append(y)
-                nxt.append(y)
-        frontier = nxt
-    out.sort(key=lambda w: w.sort_key())
-    return tuple(out)
-
-
-def sub_closure(rs: RootSystem, roots, universe: frozenset) -> frozenset:
-    """Closure under root addition, restricted to the given positive universe."""
-    closed = set(roots)
-    changed = True
-    while changed:
-        changed = False
-        items = list(closed)
-        for i, a in enumerate(items):
-            for b in items[i:]:
-                s = vec_add(a, b)
-                if s in universe and s not in closed:
-                    closed.add(s)
-                    changed = True
-    return frozenset(closed)
-
-
 def interval_structure(t: Weight, J) -> IntervalStructure:
     """Chamber set extremes plus the coset-times-interval factorization.
 
@@ -359,8 +291,8 @@ def interval_structure(t: Weight, J) -> IntervalStructure:
 
     integral = _integral_positive_roots(t)
     simples = _sub_simples(rs, integral)
-    lo_target = sub_closure(rs, J, integral)
-    hi_target = integral - sub_closure(rs, (P - J) | Z, integral)
+    lo_target = sub_closure(J, integral)
+    hi_target = integral - sub_closure((P - J) | Z, integral)
     tau_lo = _element_with_sub_inversions(rs, simples, lo_target)
     tau_hi = _element_with_sub_inversions(rs, simples, hi_target)
 
@@ -380,8 +312,11 @@ def interval_structure(t: Weight, J) -> IntervalStructure:
             tau_hi.inversion_set() & integral == hi_target)
         verification["endpoints_nested"] = lo_target <= hi_target
         if verification["endpoints_nested"]:
-            upper = _upper_complement(t, integral)
-            interval = _sub_interval(rs, simples, tau_lo, hi_target, integral)
+            # W^[gamma] = {sigma : R(sigma) cap R_[gamma] empty}; the walk
+            # from tau_lo stays in W_[gamma], which maps R_[gamma] to itself,
+            # so each new inversion is integral and banned outside hi_target
+            upper = _walk_up(rs, rs.identity(), rs.simple_roots, integral)
+            interval = _walk_up(rs, tau_lo, simples, integral - hi_target)
             product = {sigma * x for sigma in upper for x in interval}
             verification["product_matches"] = product == set(F)
 

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraElt
+from .algebra import Q_MINUS, AlgebraElt
 from .errors import (EmptyRegion, MixedCosetExact, NotRegular, NotSkew,
                      NumericIllConditioned, TooLarge, UndefinedTau,
                      UnsupportedType)
@@ -153,7 +153,7 @@ def _q_scalar(backend: str, q0):
 
 def _qm_scalar(backend: str, q0):
     if backend == "exact":
-        return ExactScalar.q_power(1) - ExactScalar.q_power(-1)
+        return Q_MINUS
     return complex(q0) - 1 / complex(q0)
 
 
@@ -607,8 +607,16 @@ class WeightSpaceDecomp:
         return {"module_dim": self.dim, "weights": rows}
 
 
+def _group_equal(keys) -> list:
+    """Indices grouped by equal keys, groups in first-seen order."""
+    groups: dict = {}
+    for idx, key in enumerate(keys):
+        groups.setdefault(key, []).append(idx)
+    return list(groups.values())
+
+
 def _cluster_indices(keys, eq) -> list:
-    """Group indices by pairwise key equality (transitive closure)."""
+    """Group indices whose keys eq-match a group's first key."""
     groups: list[list[int]] = []
     reps: list = []
     for idx, key in enumerate(keys):
@@ -642,9 +650,7 @@ def weight_decomposition(rep: ModuleRep, tol: float = RANK_TOL
 
     diag_keys = [tuple(m[k][k] for m in rep.x_mats) for k in range(d)]
     if ops.exact:
-        groups = _cluster_indices(diag_keys,
-                                  lambda a, b: all(x == y
-                                                   for x, y in zip(a, b)))
+        groups = _group_equal(diag_keys)
     else:
         def close(a, b):
             return all(near(x, y, tol) for x, y in zip(a, b))
@@ -653,7 +659,7 @@ def weight_decomposition(rep: ModuleRep, tol: float = RANK_TOL
         _guard_cluster_separation(groups, diag_keys, tol)
 
     if rep.basis_weights is not None:
-        by_weight = _cluster_indices(rep.basis_weights, lambda a, b: a == b)
+        by_weight = _group_equal(rep.basis_weights)
         if sorted(map(sorted, by_weight)) != sorted(map(sorted, groups)):
             raise NumericIllConditioned(
                 "diagonal clustering disagrees with the stored weights")
@@ -998,11 +1004,15 @@ def _numeric_commutant(rep: ModuleRep, tol: float) -> int:
     if rep.backend == "exact":
         rep = _specialized_copy(rep)
     eye = np.eye(d)
-    blocks = []
-    for g in rep.t_mats + rep.x_mats:
+    gens = rep.t_mats + rep.x_mats
+    dd = d * d
+    # filled in place: stacking per-generator blocks held each twice
+    stacked = np.empty((len(gens) * dd, dd), dtype=complex)
+    for k, g in enumerate(gens):
         m = np.array(g, dtype=complex)
-        blocks.append(np.kron(eye, m) - np.kron(m.T, eye))
-    stacked = np.vstack(blocks)
+        block = stacked[k * dd:(k + 1) * dd]
+        block[...] = np.kron(eye, m)
+        block -= np.kron(m.T, eye)
     sv = np.linalg.svd(stacked, compute_uv=False)
     top = sv[0] if len(sv) else 0.0
     if top == 0.0:

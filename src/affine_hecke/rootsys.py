@@ -233,10 +233,12 @@ class RootSystem:
         self._compute_weights()
         self.key = (type_label, rank, lattice_mode)
         self._element_cache: dict = {}
-        self._reflections: dict = {}
         self._all_elements: tuple | None = None
         self._identity = self._elt(tuple(range(len(self.roots))))
         self._simple_reflections = tuple(self._elt(p) for p in simple_perms)
+        # keyed by positive root index, like reflection() below
+        self._reflections = dict(zip(self._simple_index,
+                                     self._simple_reflections))
 
     # -- construction helpers ------------------------------------------------
 
@@ -443,23 +445,11 @@ class RootSystem:
         if self.weyl_order() > limit:
             raise GroupTooLarge(
                 f"|W| = {self.weyl_order()} exceeds cap {limit}")
-        gens = self._simple_reflections
-        seen = {self.identity()}
-        frontier = [self.identity()]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for s in gens:
-                    ws = w * s
-                    if ws not in seen:
-                        seen.add(ws)
-                        nxt.append(ws)
-            frontier = nxt
-        elements = sorted(seen, key=lambda w: w.sort_key())
+        elements = self.subgroup(self._simple_reflections, limit)
         if len(elements) != self.weyl_order():
             raise AssertionError("Weyl enumeration count mismatch")
-        self._all_elements = tuple(elements)
-        return self._all_elements
+        self._all_elements = elements
+        return elements
 
     def long_element(self) -> "WeylElt":
         w = self.identity()
@@ -497,30 +487,9 @@ class RootSystem:
         for root in K:
             if root not in self._pos_set:
                 raise ValueError("closure operates on positive roots")
-        closed = set(K)
-        changed = True
-        while changed:
-            changed = False
-            items = list(closed)
-            for i, a in enumerate(items):
-                for b in items[i:]:
-                    s = vec_add(a, b)
-                    if s in self._pos_set and s not in closed:
-                        closed.add(s)
-                        changed = True
-        is_closed = closed == K
+        closed = sub_closure(K, self._pos_set)
         comp = self._pos_set - K
-        comp_closed = True
-        items = list(comp)
-        for i, a in enumerate(items):
-            if not comp_closed:
-                break
-            for b in items[i:]:
-                s = vec_add(a, b)
-                if s in self._pos_set and s not in comp:
-                    comp_closed = False
-                    break
-        return frozenset(closed), is_closed, comp_closed
+        return closed, closed == K, sub_closure(comp, self._pos_set) == comp
 
     # -- export -----------------------------------------------------------------
 
@@ -546,6 +515,22 @@ class RootSystem:
 
     def __repr__(self):
         return f"RootSystem({self.type_label}{self.rank}, {self.lattice_mode})"
+
+
+def sub_closure(roots, universe: frozenset) -> frozenset:
+    """Closure of a root set under addition, restricted to the universe."""
+    closed = set(roots)
+    changed = True
+    while changed:
+        changed = False
+        items = list(closed)
+        for i, a in enumerate(items):
+            for b in items[i:]:
+                s = vec_add(a, b)
+                if s in universe and s not in closed:
+                    closed.add(s)
+                    changed = True
+    return frozenset(closed)
 
 
 def reflect(alpha, x):

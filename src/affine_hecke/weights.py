@@ -64,7 +64,7 @@ def format_tag(tag: tuple) -> str:
 class Weight:
     """A point of the torus T = Hom(X, C*), with exact coset bookkeeping."""
 
-    __slots__ = ("rs", "gamma", "tags", "ell", "_zp")
+    __slots__ = ("rs", "gamma", "tags", "ell", "_zp", "_sig")
 
     def __init__(self, rs: RootSystem, gamma, tags=None, ell: int | None = None):
         self.rs = rs
@@ -91,6 +91,7 @@ class Weight:
         self.tags = tags
         self.ell = ell
         self._zp = None
+        self._sig = None
 
     @property
     def mode(self) -> str:
@@ -233,16 +234,20 @@ class Weight:
     # -- equality and display --------------------------------------------------
 
     def _signature(self):
-        sig = []
-        for g in self.rs.lattice_generators():
-            net = combine_tags(
-                (self.tags[i], int(c)) for i, c in enumerate(g)
-                if c.denominator == 1)
-            expo = vec_dot(self.gamma, g)
-            if self.ell is not None:
-                expo = Fraction(int(expo) % self.ell)
-            sig.append((net, expo))
-        return (self.rs.key, self.ell, tuple(sig))
+        """Values on the lattice generators; weights are never mutated, so
+        it is computed once."""
+        if self._sig is None:
+            sig = []
+            for g in self.rs.lattice_generators():
+                net = combine_tags(
+                    (self.tags[i], int(c)) for i, c in enumerate(g)
+                    if c.denominator == 1)
+                expo = vec_dot(self.gamma, g)
+                if self.ell is not None:
+                    expo = Fraction(int(expo) % self.ell)
+                sig.append((net, expo))
+            self._sig = (self.rs.key, self.ell, tuple(sig))
+        return self._sig
 
     def __eq__(self, other):
         return isinstance(other, Weight) and self._signature() == other._signature()

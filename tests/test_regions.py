@@ -1,5 +1,6 @@
 """Chamber sets, skew classification, interval structure, conjugation."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,15 @@ def test_pruned_scan_matches_brute_force_on_grids():
                 t = gamma_with_pairings(rs, (a, b))
                 for J, F in rg.fibers(t).items():
                     assert rg.chamber_set_pruned(t, J).elements == F.elements
+    # rank 3 and 4, integral and half-integral pairings
+    for label, rank in (("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)):
+        rs = build(label, rank)
+        for pairings in itertools.product((0, Fraction(1, 2), 1),
+                                          repeat=rank):
+            t = gamma_with_pairings(rs, pairings)
+            for J, F in rg.fibers(t).items():
+                assert rg.chamber_set_pruned(t, J).elements == F.elements, (
+                    label, rank, pairings, J)
 
 
 # -- nonemptiness ------------------------------------------------------------
@@ -270,6 +280,12 @@ def test_interval_factorization_on_grid():
                     ivs = rg.interval_structure(t, J)
                     for key in required:
                         assert ivs.verification[key], (label, a, b, J, key)
+                    assert set(ivs.upper) == {
+                        w for w in rs.weyl_elements()
+                        if not w.inversion_set() & ivs.integral_roots}
+                    for part in (ivs.upper, ivs.interval):
+                        assert list(part) == sorted(
+                            part, key=lambda w: w.sort_key())
                     if ivs.w_min is not None and ivs.w_max is not None:
                         meet = ivs.w_min.inversion_set()
                         join = ivs.w_max.inversion_set()

@@ -287,6 +287,8 @@ def test_permutations_agree_with_reflection_matrices(label, rank, mode):
             if tuple(-c for c in matvec(m, a)) in positives)
     assert len(matrices) == rs.weyl_order()
     elements = rs.weyl_elements()
+    assert elements == rs.subgroup(
+        [rs.simple_reflection(i) for i in range(rs.rank)])
     rng = random.Random(f"{label}{rank}{mode}")
     for _ in range(50):
         u, v = rng.choice(elements), rng.choice(elements)
