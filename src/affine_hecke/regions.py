@@ -18,6 +18,8 @@ GTM 231, ch. 3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
+from operator import add
 
 from .errors import (
     EmptyRegion,
@@ -25,8 +27,8 @@ from .errors import (
     NotDominant,
     UnsupportedType,
 )
-from .rootsys import (RootSystem, WeylElt, reflect, sub_closure, vec_add,
-                      vec_dot, vec_neg)
+from .rootsys import (RootSystem, WeylElt, sub_closure, vec_add, vec_dot,
+                      vec_neg)
 from .weights import Weight, invert_tag
 
 # ---------------------------------------------------------------------------
@@ -235,33 +237,33 @@ def _integral_positive_roots(t: Weight) -> frozenset:
 
 
 def _sub_simples(rs: RootSystem, sub_pos: frozenset):
-    sub = sorted(sub_pos)
-    out = []
-    for a in sub:
-        is_sum = any(
-            vec_add(b, c) == a
-            for bi, b in enumerate(sub) for c in sub[bi:])
-        if not is_sum:
-            out.append(a)
-    return tuple(out)
+    """The roots of sub_pos that are not a sum of two roots of sub_pos."""
+    coords = {a: rs._root_coords[rs.root_index[a]] for a in sub_pos}
+    sums = {tuple(map(add, x, y))
+            for x, y in combinations_with_replacement(coords.values(), 2)}
+    return tuple(a for a in sorted(sub_pos) if coords[a] not in sums)
 
 
 def _element_with_sub_inversions(rs: RootSystem, sub_simples, K: frozenset):
     """The element of the reflection subgroup whose sub-inversion set is K.
 
     Strips K by right multiplication: a sub-simple beta in K is a right
-    descent, and R'(tau s_beta) = s_beta (K minus {beta}).
+    descent, and R'(tau s_beta) = s_beta (K minus {beta}). K is carried as
+    root indices and reflected through the permutation of s_beta.
     """
+    n = len(rs.positive_roots)
+    simple_index = [rs.root_index[b] for b in sub_simples]
+    K = {rs.root_index[a] for a in K}
     tau = rs.identity()
-    K = set(K)
     while K:
-        beta = next((b for b in sub_simples if b in K), None)
+        beta = next((b for b in simple_index if b in K), None)
         if beta is None:
             return None  # K is not a sub-inversion set
-        K = {reflect(beta, a) for a in K if a != beta}
-        if any(not rs.is_positive_root(a) for a in K):
+        s = rs.reflection(rs.roots[beta])
+        K = {s.perm[a] for a in K if a != beta}
+        if any(a >= n for a in K):
             return None
-        tau = rs.reflection(beta) * tau
+        tau = s * tau
     return tau
 
 

@@ -239,6 +239,7 @@ class RootSystem:
         # keyed by positive root index, like reflection() below
         self._reflections = dict(zip(self._simple_index,
                                      self._simple_reflections))
+        self._one_line_roots = self._unit_vector_roots()
 
     # -- construction helpers ------------------------------------------------
 
@@ -354,6 +355,26 @@ class RootSystem:
             omegas = [vec([1 if k > i else 0 for k in range(n)])
                       for i in range(r)]
         self.fundamental_weights = tuple(omegas)
+
+    def _unit_vector_roots(self):
+        """Per k, root indices whose images under w pin down w(e_k).
+
+        Type A: (e_k - e_m, None); the +1 entry of w(e_k - e_m) is at
+        sigma(k). Types B, C, D: (e_k - e_m, e_k + e_m), whose half-sum is
+        e_k. None for G2, which has no one-line notation.
+        """
+        if self.type_label == "G":
+            return None
+        n = self.dim
+        out = []
+        for k in range(n):
+            m = 1 if k == 0 else 0
+            minus = self.root_index[vec([1 if i == k else (-1 if i == m else 0)
+                                         for i in range(n)])]
+            plus = None if self.type_label == "A" else self.root_index[
+                vec([1 if i in (k, m) else 0 for i in range(n)])]
+            out.append((minus, plus))
+        return tuple(out)
 
     # -- root utilities -------------------------------------------------------
 
@@ -683,18 +704,20 @@ class WeylElt:
 
         Entry k is j if w e_k = e_j, and -j if w e_k = -e_j (1-indexed).
         """
-        if self.rs.type_label == "G":
+        pairs = self.rs._one_line_roots
+        if pairs is None:
             return None
-        n = self.rs.dim
+        coords = self.rs._root_coords
         out = []
-        for k in range(n):
-            col = [self.matrix[j][k] for j in range(n)]
-            j = next((j for j, c in enumerate(col) if c != 0), None)
-            if j is None or abs(col[j]) != 1:
-                return None
-            if sum(1 for c in col if c != 0) != 1:
-                return None
-            out.append(j + 1 if col[j] > 0 else -(j + 1))
+        for minus, plus in pairs:
+            img = coords[self.perm[minus]]
+            if plus is None:
+                out.append(img.index(1) + 1)
+                continue
+            # 2 w(e_k) = w(e_k - e_m) + w(e_k + e_m) = +-2 e_j
+            img = [a + b for a, b in zip(img, coords[self.perm[plus]])]
+            j = next(j for j, c in enumerate(img) if c)
+            out.append(j + 1 if img[j] > 0 else -(j + 1))
         return tuple(out)
 
     def __eq__(self, other):

@@ -4,6 +4,14 @@ Exact scalars are rational functions in a single formal variable v = q^(1/D),
 where the denominator scale D is a positive integer fixed per computation.
 Coefficients are exact rationals. Numeric scalars are complex doubles, used
 when q is specialized (for instance at a root of unity).
+
+Every ExactScalar is kept reduced: numerator and denominator coprime, the
+denominator monic, zero as 0/1. The ring operations rely on their operands
+being reduced and only test the factors that can cancel (Henrici, J. ACM 3,
+1956; Knuth, TAOCP vol. 2, 4.5.1). A product n1/d1 * n2/d2 can cancel only
+gcd(n1, d2) and gcd(n2, d1). In a sum, with g = gcd(d1, d2), only a factor
+of g can cancel from n1*(d2/g) + n2*(d1/g). The constructor on raw input
+reduces fully.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ POLE_TOL = 1e-12
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_P_ONE = (_ONE,)
 
 
 # ---------------------------------------------------------------------------
@@ -46,12 +55,11 @@ def _pneg(a):
 def _pmul(a, b):
     if not a or not b:
         return ()
+    terms = [(j, y) for j, y in enumerate(b) if y]
     out = [_ZERO] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y != 0:
+        if x:
+            for j, y in terms:
                 out[i + j] += x * y
     return _ptrim(out)
 
@@ -76,23 +84,58 @@ def _pdivmod(a, b):
     return _ptrim(q), _ptrim(a)
 
 
+def _pord(a) -> int:
+    """Index of the lowest nonzero coefficient of a nonzero polynomial."""
+    k = 0
+    while not a[k]:
+        k += 1
+    return k
+
+
 def _pgcd(a, b):
-    # monic Euclid; degrees stay small at desk scale
+    """Monic gcd of the nonzero polynomials a and b.
+
+    A constant argument gives 1 and a monomial c*v^k gives v^min(k, ord),
+    both without division; anything else runs monic Euclid.
+    """
+    if len(a) == 1 or len(b) == 1:
+        return _P_ONE
+    ka, kb = _pord(a), _pord(b)
+    if ka == len(a) - 1 or kb == len(b) - 1:
+        return (_ZERO,) * min(ka, kb) + _P_ONE
     while b:
         _, r = _pdivmod(a, b)
         a, b = b, r
-    if not a:
-        return ()
     inv = 1 / a[-1]
     return tuple(x * inv for x in a)
 
 
-def _pmonic_factor(a):
-    """Return (leading coefficient, monic polynomial)."""
-    if not a:
-        return _ONE, ()
-    lead = a[-1]
-    return lead, tuple(x / lead for x in a)
+def _pquo(a, b):
+    """Exact quotient a / b by a monic divisor b of a.
+
+    A monomial v^k divides by slicing; anything else is long division with
+    no division by the leading coefficient.
+    """
+    n = len(b) - 1
+    if not any(b[:n]):
+        return a[n:]
+    a = list(a)
+    q = [_ZERO] * (len(a) - n)
+    for shift in range(len(q) - 1, -1, -1):
+        coef = q[shift] = a[shift + n]
+        if coef:
+            for i in range(n):
+                a[shift + i] -= coef * b[i]
+    return tuple(q)
+
+
+def _pmonic(num, den):
+    """Scale num/den by 1/lead(den) so that den becomes monic."""
+    lead = den[-1]
+    if lead == 1:
+        return num, den
+    c = 1 / lead
+    return tuple(x * c for x in num), tuple(x * c for x in den)
 
 
 def _pstretch(a, k: int):
@@ -136,14 +179,12 @@ class ExactScalar:
             if not den:
                 raise DivisionByZero("zero denominator")
             if not num:
-                den = (_ONE,)
+                den = _P_ONE
             else:
                 g = _pgcd(num, den)
                 if len(g) > 1:
-                    num, _ = _pdivmod(num, g)
-                    den, _ = _pdivmod(den, g)
-                lead, den = _pmonic_factor(den)
-                num = tuple(x / lead for x in num)
+                    num, den = _pquo(num, g), _pquo(den, g)
+                num, den = _pmonic(num, den)
         self.num = num
         self.den = den
         self.scale = scale
@@ -214,8 +255,7 @@ class ExactScalar:
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
-        num = _padd(_pmul(a.num, b.den), _pmul(b.num, a.den))
-        return ExactScalar(num, _pmul(a.den, b.den), a.scale)
+        return a._sum(b.num, b.den)
 
     __radd__ = __add__
 
@@ -227,24 +267,55 @@ class ExactScalar:
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
-        num = _padd(_pmul(a.num, b.den), _pneg(_pmul(b.num, a.den)))
-        return ExactScalar(num, _pmul(a.den, b.den), a.scale)
+        return a._sum(_pneg(b.num), b.den)
 
     def __rsub__(self, other):
         return (-self) + other
+
+    def _sum(self, n2, d2):
+        """self + n2/d2 for a reduced n2/d2 with monic d2.
+
+        With g = gcd(d1, d2), t = n1*(d2/g) + n2*(d1/g) is coprime to d1/g
+        and to d2/g, so only h = gcd(t, g) can cancel.
+        """
+        n1, d1 = self.num, self.den
+        if not n2:
+            return self
+        if not n1:
+            return ExactScalar(n2, d2, self.scale, _normalized=True)
+        if d1 == d2:
+            g, d1g = d1, _P_ONE
+            t = _padd(n1, n2)
+        else:
+            g = _pgcd(d1, d2)
+            d1g = _pquo(d1, g)
+            t = _padd(_pmul(n1, _pquo(d2, g)), _pmul(n2, d1g))
+        if not t:
+            return ExactScalar.zero(self.scale)
+        h = _pgcd(t, g)
+        return ExactScalar(_pquo(t, h), _pmul(d1g, _pquo(d2, h)), self.scale,
+                           _normalized=True)
 
     def __mul__(self, other):
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
-        return ExactScalar(_pmul(a.num, b.num), _pmul(a.den, b.den), a.scale)
+        n1, d1, n2, d2 = a.num, a.den, b.num, b.den
+        if not n1 or not n2:
+            return ExactScalar.zero(a.scale)
+        # a factor can cancel only across the pairs (n1, d2) and (n2, d1)
+        g1, g2 = _pgcd(n1, d2), _pgcd(n2, d1)
+        return ExactScalar(_pmul(_pquo(n1, g1), _pquo(n2, g2)),
+                           _pmul(_pquo(d1, g2), _pquo(d2, g1)), a.scale,
+                           _normalized=True)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ExactScalar":
         if not self.num:
             raise DivisionByZero("inverse of zero")
-        return ExactScalar(self.den, self.num, self.scale)
+        num, den = _pmonic(self.den, self.num)
+        return ExactScalar(num, den, self.scale, _normalized=True)
 
     def __truediv__(self, other):
         a, b = self._coerce(other)
@@ -252,7 +323,7 @@ class ExactScalar:
             return NotImplemented
         if not b.num:
             raise DivisionByZero("division by zero")
-        return ExactScalar(_pmul(a.num, b.den), _pmul(a.den, b.num), a.scale)
+        return a * b.inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other

@@ -296,6 +296,49 @@ def test_permutations_agree_with_reflection_matrices(label, rank, mode):
             assert (u * v).act(x) == u.act(v.act(x))
 
 
+def one_line_from_matrix(m):
+    """Signed one-line notation read off the columns of an ambient matrix."""
+    out = []
+    for k, col in enumerate(zip(*m)):
+        nonzero = [j for j, c in enumerate(col) if c]
+        if len(nonzero) != 1 or abs(col[nonzero[0]]) != 1:
+            return None
+        j = nonzero[0]
+        out.append(j + 1 if col[j] > 0 else -(j + 1))
+    return tuple(out)
+
+
+ONE_LINE_LADDER = ([("A", r, m) for r in range(1, 7) for m in ("P", "GL")]
+                   + [(t, r, "P") for t in "BCD" for r in range(2, 6)]
+                   + [("G", 2, "P")])
+
+
+@pytest.mark.parametrize("label,rank,mode", ONE_LINE_LADDER)
+def test_one_line_agrees_with_reflection_matrices(label, rank, mode):
+    rs = build(label, rank, lattice_mode=mode)
+    # integer entries in types A-D keep the products cheap
+    gens = [tuple(tuple(int(c) if c.denominator == 1 else c for c in row)
+                  for row in reflection_matrix(a)) for a in rs.simple_roots]
+    identity = tuple(tuple(int(i == j) for j in range(rs.dim))
+                     for i in range(rs.dim))
+    # w = s_i (s_i w) with i the first letter of w's reduced word, and s_i w
+    # is shorter, so it comes earlier in the (length, word) order
+    matrices = {}
+    for w in rs.weyl_elements(cap=rs.weyl_order()):
+        word = w.reduced_word()
+        if not word:
+            m = identity
+        else:
+            m = matmul(gens[word[0]],
+                       matrices[rs.simple_reflection(word[0]) * w])
+        matrices[w] = m
+        # G2 has no one-line notation, though some of its matrices are
+        # signed permutations (the identity, for one)
+        expected = None if label == "G" else one_line_from_matrix(m)
+        assert w.one_line() == expected
+    assert len(set(matrices.values())) == rs.weyl_order()
+
+
 @pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("G", 2)])
 def test_reduced_words_are_lex_least_by_brute_force(label, rank):
     rs = build(label, rank)

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from affine_hecke.errors import DivisionByZero, PoleAtSpecialization, ScaleMismatch
-from affine_hecke.scalars import ExactScalar, common_scale, field_ops, near
+from affine_hecke.scalars import (
+    ExactScalar,
+    _pdivmod,
+    _pgcd,
+    common_scale,
+    field_ops,
+    near,
+)
 
 Q = ExactScalar.q_power
 
@@ -147,3 +154,101 @@ def test_serialize_roundtrip():
     doc = Q(Fraction(3, 2), 2).serialize()
     assert doc["scale"] == 2
     assert all(isinstance(s, str) and "/" in s for s in doc["num"])
+
+
+# ---------------------------------------------------------------------------
+# reduced-operand arithmetic against normalising the unreduced cross products
+# ---------------------------------------------------------------------------
+
+def pmul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def pcomb(a, b, sign):
+    """a + sign * b."""
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return [x + sign * y for x, y in zip(a, b)]
+
+
+def oracle_poly(rng):
+    """A small nonzero polynomial, often a constant, monomial or 1 - v^k."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return [Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))]
+    if kind == 1:
+        return [0] * rng.randint(1, 3) + [Fraction(rng.choice((-2, 1, 3)))]
+    if kind == 2:
+        return [1] + [0] * rng.randint(0, 2) + [-1]
+    return ([Fraction(rng.randint(-3, 3)) for _ in range(rng.randint(1, 2))]
+            + [Fraction(rng.choice((-1, 2)))])
+
+
+def oracle_pair(rng):
+    """Two scalars at scale 1 or 2 that often share a factor."""
+    shared = oracle_poly(rng)
+    out = []
+    for _ in range(2):
+        num, den = oracle_poly(rng), oracle_poly(rng)
+        if rng.random() < 0.4:
+            num = pmul(num, shared)
+        if rng.random() < 0.4:
+            den = pmul(den, shared)
+        if rng.random() < 0.05:
+            num = []
+        out.append(ExactScalar(num, den, rng.choice((1, 1, 2))))
+    a, b = out
+    roll = rng.random()
+    if roll < 0.05:
+        b = a
+    elif roll < 0.1:
+        b = -a
+    return a, b
+
+
+def assert_same(x, y):
+    assert (x.num, x.den, x.scale, hash(x)) == (y.num, y.den, y.scale, hash(y))
+
+
+def test_reduced_arithmetic_matches_normalised_cross_products():
+    rng = random.Random(5)
+    for _ in range(5000):
+        a, b = oracle_pair(rng)
+        s = max(a.scale, b.scale)  # the lcm, for scales 1 and 2
+        ra, rb = a.rescaled(s), b.rescaled(s)
+        n1, d1, n2, d2 = ra.num, ra.den, rb.num, rb.den
+        cross = pmul(n1, d2), pmul(n2, d1)
+        assert_same(a + b, ExactScalar(pcomb(*cross, 1), pmul(d1, d2), s))
+        assert_same(a - b, ExactScalar(pcomb(*cross, -1), pmul(d1, d2), s))
+        assert_same(a * b, ExactScalar(pmul(n1, n2), pmul(d1, d2), s))
+        if n2:
+            assert_same(a / b, ExactScalar(pmul(n1, d2), pmul(d1, n2), s))
+            assert_same(b.inverse(), ExactScalar(b.den, b.num, b.scale))
+        else:
+            with pytest.raises(DivisionByZero):
+                a / b
+
+
+def euclid(a, b):
+    while b:
+        a, b = b, _pdivmod(a, b)[1]
+    return tuple(x / a[-1] for x in a)
+
+
+def test_gcd_shortcuts_match_euclid():
+    F = Fraction
+    v3, v5_plus_v2 = (0, 0, 0, F(1)), (0, 0, F(1), 0, 0, F(1))
+    assert _pgcd(v3, v5_plus_v2) == (0, 0, F(1))
+    assert _pgcd(v5_plus_v2, (0, F(-2))) == (0, F(1))
+    assert _pgcd((0, 0, F(1), F(1)), (0, F(1), F(1))) == (0, F(1), F(1))
+    assert _pgcd((F(3),), v5_plus_v2) == (F(1),)
+    rng = random.Random(9)
+    for _ in range(500):
+        a, b = (tuple(F(c) for c in oracle_poly(rng)) for _ in range(2))
+        if rng.random() < 0.5:
+            a = tuple(pmul(a, b))
+        assert _pgcd(a, b) == euclid(a, b)
