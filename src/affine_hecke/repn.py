@@ -11,7 +11,9 @@ backend, where q and the tag symbols receive concrete complex values.
 
 Verification is built in rather than trusted: every constructed module stores
 a relation report, weight space data is recomputed from the matrices, and
-irreducibility is measured as commutant dimension 1.
+irreducibility is measured as commutant dimension 1, solved block by block in
+a basis of generalized weight vectors (a commuting matrix keeps each
+generalized weight space).
 """
 
 from __future__ import annotations
@@ -215,9 +217,9 @@ def _mat_is_upper(a, ops) -> bool:
     return all(ops.is_zero(a[i][j]) for i in range(len(a)) for j in range(i))
 
 
-def _mat_is_diagonal(a, ops) -> bool:
+def _mat_is_lower(a, ops) -> bool:
     return all(ops.is_zero(a[i][j])
-               for i in range(len(a)) for j in range(len(a)) if i != j)
+               for i in range(len(a)) for j in range(i + 1, len(a)))
 
 
 def _mat_power(a, k: int, ops):
@@ -649,14 +651,7 @@ def weight_decomposition(rep: ModuleRep, tol: float = RANK_TOL
         return _numeric_eig_decomposition(rep, tol)
 
     diag_keys = [tuple(m[k][k] for m in rep.x_mats) for k in range(d)]
-    if ops.exact:
-        groups = _group_equal(diag_keys)
-    else:
-        def close(a, b):
-            return all(near(x, y, tol) for x, y in zip(a, b))
-
-        groups = _cluster_indices(diag_keys, close)
-        _guard_cluster_separation(groups, diag_keys, tol)
+    groups = _character_groups(diag_keys, ops.exact, tol)
 
     if rep.basis_weights is not None:
         by_weight = _group_equal(rep.basis_weights)
@@ -686,6 +681,20 @@ def weight_decomposition(rep: ModuleRep, tol: float = RANK_TOL
     return WeightSpaceDecomp(dim=d, labels=tuple(labels), spaces=spaces)
 
 
+def _character_groups(keys, exact: bool, tol: float) -> list:
+    """Basis indices grouped by the joint character on the X diagonals:
+    equal keys when exact, else clusters at tol that sit 10 tol apart."""
+    if exact:
+        return _group_equal(keys)
+
+    def close(a, b):
+        return all(near(x, y, tol) for x, y in zip(a, b))
+
+    groups = _cluster_indices(keys, close)
+    _guard_cluster_separation(groups, keys, tol)
+    return groups
+
+
 def _guard_cluster_separation(groups, keys, tol):
     reps = [keys[g[0]] for g in groups]
     for a in range(len(reps)):
@@ -697,8 +706,10 @@ def _guard_cluster_separation(groups, keys, tol):
 
 
 def _numeric_nullity(rows, tol: float) -> int:
+    """Column count minus the rank at tol times the top singular value;
+    NumericIllConditioned when a singular value sits near that threshold."""
     import numpy as np
-    a = np.array([[complex(x) for x in r] for r in rows], dtype=complex)
+    a = np.asarray(rows, dtype=complex)
     if not a.size:
         return 0
     sv = np.linalg.svd(a, compute_uv=False)
@@ -920,18 +931,25 @@ def commutant_dim(rep: ModuleRep, method: str = "auto",
                   tol: float = RANK_TOL) -> int:
     """Dimension of the algebra of matrices commuting with all generators.
 
-    auto prefers the structural shortcut (diagonal X with pairwise distinct
-    characters forces diagonal commutants), which works at any dimension,
-    then a numeric singular value count (dim <= 24); method="exact" runs
-    exact elimination instead. The dense solves need dim <= 200.
+    method="auto" works block by block whenever every X matrix is upper
+    triangular (true for the builders in this module), at any dimension. A
+    matrix commuting with the X generators keeps each generalized weight
+    space, so in a basis of generalized weight vectors it is block diagonal
+    and only sum(m_chi^2) unknowns remain. Exact modules with diagonal X and
+    pairwise distinct characters (calibrated modules) count the connected
+    components of the T graph exactly; other exact triangular modules are
+    solved at q0, and numeric ones read a guarded singular value count.
+    Without triangular X, auto runs a dense numeric solve (dim <= 24).
+    method="exact" runs dense exact elimination (dim <= 200), the
+    independent check on the block route.
     """
-    if method in ("auto", "graph"):
-        via_graph = _graph_commutant(rep, tol)
-        if via_graph is not None:
-            return via_graph
-        if method == "graph":
-            raise ValueError(
-                "graph method needs diagonal X with distinct characters")
+    if method not in ("auto", "exact"):
+        raise ValueError(
+            f"unknown commutant method {method!r}; use 'auto' or 'exact'")
+    if method == "auto":
+        via_blocks = _block_commutant(rep, tol)
+        if via_blocks is not None:
+            return via_blocks
     d = rep.dim
     if d > 200:
         raise TooLarge(f"commutant solve needs dim <= 200, got {d}")
@@ -940,21 +958,102 @@ def commutant_dim(rep: ModuleRep, method: str = "auto",
     return _numeric_commutant(rep, tol)
 
 
-def _graph_commutant(rep: ModuleRep, tol: float) -> int | None:
+def _block_commutant(rep: ModuleRep, tol: float) -> int | None:
+    """The commutant in a basis of generalized weight vectors; None unless
+    every X matrix is upper triangular."""
+    ops = rep._ops
+    if not all(_mat_is_upper(m, ops) for m in rep.x_mats):
+        return None
+    keys = [tuple(m[k][k] for m in rep.x_mats) for k in range(rep.dim)]
+    groups = _character_groups(keys, ops.exact, tol)
+    if ops.exact:
+        # diagonal X: the stored basis is already a weight basis
+        if (len(groups) == rep.dim
+                and all(_mat_is_lower(m, ops) for m in rep.x_mats)):
+            return _t_graph_components(rep)
+        return _block_commutant(_specialized_copy(rep), tol)
+
+    import numpy as np
+    gens = np.array(rep.t_mats + rep.x_mats, dtype=complex)
+    basis = _weight_vectors(gens[len(rep.t_mats):], groups, keys, tol)
+    gens = np.linalg.solve(basis, gens @ basis)
+    sizes = [len(g) for g in groups]
+    starts = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [m * m for m in sizes])
+    # block pairs (a, b) where G_ab is nonzero, entries within the relation
+    # tolerance counting as zero; 1 x 1 blocks G_aa commute with every C_a
+    pairs = []
+    for g in gens:
+        peaks = np.maximum.reduceat(
+            np.maximum.reduceat(np.abs(g), starts[:-1], axis=0),
+            starts[:-1], axis=1)
+        pairs.extend((g, a, b) for a, b in np.argwhere(peaks > NUMERIC_TOL)
+                     if a != b or sizes[a] > 1)
+    if not pairs:
+        return int(offsets[-1])
+    system = np.zeros((sum(sizes[a] * sizes[b] for _, a, b in pairs),
+                       offsets[-1]), dtype=complex)
+    r = 0
+    for g, a, b in pairs:
+        ma, mb = sizes[a], sizes[b]
+        blk = g[starts[a]:starts[a + 1], starts[b]:starts[b + 1]]
+        # G_ab C_b - C_a G_ab, with each C flattened row by row
+        rows = system[r:r + ma * mb]
+        rows[:, offsets[b]:offsets[b + 1]] += np.kron(blk, np.eye(mb))
+        rows[:, offsets[a]:offsets[a + 1]] -= np.kron(np.eye(ma), blk.T)
+        r += ma * mb
+    return _numeric_nullity(system, tol)
+
+
+def _weight_vectors(xs, groups, keys, tol: float):
+    """d x d matrix whose columns span the generalized weight spaces, group by
+    group, for upper triangular X matrices xs (an n x d x d array)."""
+    import numpy as np
+    d = xs.shape[1]
+    chars = np.array(keys, dtype=complex)
+    # a one-dimensional space at basis index k: v[k] = 1, v[j] = 0 for j > k,
+    # and for j = k - 1, ..., 0 row j of the X with the largest pivot
+    # chi_j - chi_k fixes v[j] by back-substitution
+    lone = np.array([g[0] for g in groups if len(g) == 1], dtype=int)
+    vecs = np.zeros((d, len(lone)), dtype=complex)
+    vecs[lone, np.arange(len(lone))] = 1
+    gaps = chars[:, None, :] - chars[None, lone, :]
+    best = np.abs(gaps).argmax(axis=2)
+    pivots = np.take_along_axis(gaps, best[..., None], axis=2)[..., 0]
+    for j in range(d - 2, -1, -1):
+        above = np.nonzero(lone > j)[0]
+        if not len(above):
+            continue
+        acc = xs[:, j, j + 1:] @ vecs[j + 1:, above]
+        vecs[j, above] = (-acc[best[j, above], np.arange(len(above))]
+                          / pivots[j, above])
+    vecs /= np.linalg.norm(vecs, axis=0)
+    lone_col = {k: c for c, k in enumerate(lone)}
+
+    cols = []
+    for group in groups:
+        m = len(group)
+        if m == 1:
+            cols.append(vecs[:, lone_col[group[0]]])
+        elif m == d:
+            cols.extend(np.eye(d, dtype=complex))
+        else:
+            eye = np.eye(d)
+            stacked = np.vstack([np.linalg.matrix_power(x - c * eye, m)
+                                 for x, c in zip(xs, chars[group[0]])])
+            if _numeric_nullity(stacked, tol) != m:
+                raise NumericIllConditioned(
+                    f"generalized weight space is not {m}-dimensional")
+            cols.extend(np.linalg.svd(stacked)[2][-m:].conj())
+    return np.array(cols).T
+
+
+def _t_graph_components(rep: ModuleRep) -> int:
+    """Connected components of the graph of nonzero off-diagonal T entries:
+    the commutant dimension of a module whose X are diagonal with pairwise
+    distinct characters, where commuting matrices are diagonal too."""
     ops = rep._ops
     d = rep.dim
-    if not all(_mat_is_diagonal(m, ops) for m in rep.x_mats):
-        return None
-    chars = [tuple(m[k][k] for m in rep.x_mats) for k in range(d)]
-    for a in range(d):
-        for b in range(a + 1, d):
-            if ops.exact:
-                if all(x == y for x, y in zip(chars[a], chars[b])):
-                    return None
-            elif all(abs(x - y) <= 10 * tol
-                     for x, y in zip(chars[a], chars[b])):
-                return None
-    # commutant is diagonal; T entries glue coordinates together
     parent = list(range(d))
 
     def find(x):
@@ -1000,7 +1099,7 @@ def _numeric_commutant(rep: ModuleRep, tol: float) -> int:
     if d > 24:
         raise TooLarge(
             "numeric commutant solve is limited to dim <= 24; "
-            "diagonal modules use the structural shortcut instead")
+            "modules with triangular X use the weight-basis route instead")
     if rep.backend == "exact":
         rep = _specialized_copy(rep)
     eye = np.eye(d)
@@ -1013,15 +1112,7 @@ def _numeric_commutant(rep: ModuleRep, tol: float) -> int:
         block = stacked[k * dd:(k + 1) * dd]
         block[...] = np.kron(eye, m)
         block -= np.kron(m.T, eye)
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    top = sv[0] if len(sv) else 0.0
-    if top == 0.0:
-        return d * d
-    thresh = tol * top
-    if any(thresh / 10 < s < thresh * 10 for s in sv):
-        raise NumericIllConditioned("singular values hug the rank threshold")
-    rank = int(sum(s > thresh for s in sv))
-    return d * d - rank
+    return _numeric_nullity(stacked, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from affine_hecke.errors import (
     MixedCosetExact,
     NotRegular,
     NotSkew,
+    NumericIllConditioned,
     TooLarge,
     UndefinedTau,
     UnsupportedType,
@@ -290,6 +291,7 @@ def test_opposite_unit_pairings_split_the_module():
     assert repn.commutant_dim(numeric) == 2
     exact = repn.principal_series(t)
     assert repn.commutant_dim(exact, method="exact") == 2
+    assert repn.commutant_dim(exact) == 2
 
 
 def test_uniserial_module_hides_from_the_commutant():
@@ -475,6 +477,11 @@ def test_non_skew_region_is_rejected_unless_forced():
 
 # -- commutants and direct sums ----------------------------------------------
 
+def dense_commutant(rep):
+    """The dense numeric Kronecker solve, as an oracle for the block route."""
+    return repn._numeric_commutant(rep, repn.RANK_TOL)
+
+
 def test_direct_sum_doubles_into_a_matrix_commutant():
     rs = build("C", 2)
     t = gamma_with_pairings(rs, ("1", "1/2"))
@@ -483,16 +490,111 @@ def test_direct_sum_doubles_into_a_matrix_commutant():
     doubled = repn.direct_sum(mod, mod)
     assert doubled.dim == 8
     assert repn.commutant_dim(doubled) == 4
+    assert dense_commutant(doubled) == 4
+
+    exact = repn.calibrated_module(region)
+    exact_doubled = repn.direct_sum(exact, exact)
+    assert repn.commutant_dim(exact_doubled) == 4
+    assert repn.commutant_dim(exact_doubled, method="exact") == 4
 
     rs1 = build("A", 1)
     line = repn.principal_series(gamma_with_pairings(rs1, ("2",)))
-    assert repn.commutant_dim(repn.direct_sum(line, line),
-                              method="exact") == 4
+    doubled_line = repn.direct_sum(line, line)
+    assert repn.commutant_dim(doubled_line, method="exact") == 4
+    assert repn.commutant_dim(doubled_line) == 4
+    assert dense_commutant(doubled_line) == 4
+
+
+@pytest.mark.parametrize("gamma,tagged,ell,gen_dims,expected", [
+    # the numeric A3 modules of the weyl_numeric benchmark
+    ((0, 1, 0, 1), True, None, {1}, 1),
+    ((1, 2, 1, 2), True, None, {1}, 1),
+    ((2, 3, 2, 3), True, None, {1}, 1),
+    ((0, 1, 2, 3), False, 3, {2}, 2),
+    ((0, 1, 2, 3), False, 4, {1}, 1),
+    ((0, 1, 2, 3), False, 5, {1}, 1),
+    # six 4-dimensional blocks, and a single 24-dimensional one
+    ((0, 1, 0, 1), False, None, {4}, 3),
+    ((0, 0, 0, 0), False, None, {24}, 1),
+])
+def test_block_commutant_matches_the_dense_solve_on_a3(gamma, tagged, ell,
+                                                       gen_dims, expected):
+    z = make_tag("z")
+    tags = (z, z, (), ()) if tagged else None
+    t = weight(build("A", 3, lattice_mode="GL"), gamma, tags, ell)
+    rep = repn.principal_series(t, backend="numeric")
+    dims = repn.weight_decomposition(rep).gen_dimensions()
+    assert set(dims.values()) == gen_dims
+    assert repn.commutant_dim(rep) == expected
+    assert dense_commutant(rep) == expected
+
+
+H = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("label,rank,gamma,expected", [
+    # the principal_exact benchmark weights: regular, on a Z(t) wall, P(t)
+    # nonempty
+    ("A", 2, (0, H, 3), 1), ("A", 2, (0, 0, 3), 1), ("A", 2, (0, 1, 4), 1),
+    ("B", 2, (5 * H, H), 1), ("B", 2, (2, 0), 1), ("B", 2, (2, 1), 1),
+    ("C", 2, (3, 1), 1), ("C", 2, (2, 0), 1), ("C", 2, (2, 1), 1),
+    ("B", 2, (0, 1), 2), ("G", 2, (0, 1, 2), 2),
+])
+def test_block_commutant_matches_the_dense_solves(label, rank, gamma,
+                                                  expected):
+    t = weight(build(label, rank), gamma)
+    exact = repn.principal_series(t)
+    numeric = repn.principal_series(t, backend="numeric")
+    assert repn.commutant_dim(exact) == expected
+    assert repn.commutant_dim(numeric) == expected
+    assert dense_commutant(exact) == dense_commutant(numeric) == expected
+    if label == "A":   # exact elimination takes seconds on B2, C2 and G2
+        assert repn.commutant_dim(exact, method="exact") == expected
+
+
+def test_triangular_exact_module_is_solved_in_its_weight_basis():
+    # X = T upper triangular, not diagonal, with two distinct characters: the
+    # commutant is the polynomials in X, although the T graph is connected
+    rs = build("A", 1)
+    x = ((Q, ExactScalar.one()), (ExactScalar.zero(), 1 / Q))
+    rep = repn.ModuleRep.from_matrices(rs, range(2), [x], [x], verify=False)
+    assert repn.commutant_dim(rep) == 2
+    assert repn.commutant_dim(rep, method="exact") == 2
+
+
+@pytest.mark.parametrize("spread", [0.0, 1e-12, 1e-9])
+def test_one_character_block_absorbs_rounding_on_the_diagonal(spread):
+    # one character cluster spans the whole space, so it is one block even
+    # when rounding spreads its diagonal entries
+    rs = build("A", 1)
+    x = ((1 + 0j, 1 + 0j), (0j, 1 + spread + 0j))
+    rep = repn.ModuleRep.from_matrices(rs, range(2), [x], [x],
+                                       backend="numeric", verify=False)
+    assert repn.commutant_dim(rep) == dense_commutant(rep) == 2
+
+
+def test_commutant_refuses_characters_closer_than_ten_tolerances():
+    rs = build("A", 1)
+    near_one = 1 + 5 * repn.RANK_TOL
+    x = ((1 + 0j, 0j), (0j, near_one + 0j))
+    tm = ((0j, 1 + 0j), (1 + 0j, 0j))
+    rep = repn.ModuleRep.from_matrices(rs, range(2), [tm], [x],
+                                       backend="numeric", verify=False)
+    with pytest.raises(NumericIllConditioned, match="separated by only"):
+        repn.commutant_dim(rep)
+
+
+@pytest.mark.parametrize("method", ["graph", "numeric", "typo", ""])
+def test_unknown_commutant_method_is_rejected(method):
+    rep = repn.principal_series(gamma_with_pairings(build("A", 1), ("2",)))
+    with pytest.raises(ValueError, match="unknown commutant method"):
+        repn.commutant_dim(rep, method=method)
 
 
 def test_structural_commutant_has_no_size_limit():
-    # diagonal X with distinct characters: the commutant is read off the T
-    # graph, here 100 linked pairs and 1 lone vertex
+    # diagonal X with distinct characters: every generalized weight space is
+    # a line and the commutant counts the components of the T graph, here
+    # 100 linked pairs and 1 lone vertex
     rs = build("A", 1)
     d = 201
     x = tuple(tuple(complex(k + 1) if r == k else 0j for k in range(d))
