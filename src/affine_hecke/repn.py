@@ -100,7 +100,14 @@ def _exact_available(t: Weight) -> bool:
     return all(t.tag_of(a) == TRIVIAL_TAG for a in t.rs.positive_roots)
 
 
+def _check_backend(backend: str, choices=("auto", "exact", "numeric")):
+    if backend not in choices:
+        raise ValueError(f"unknown backend {backend!r}; use "
+                         + " or ".join(map(repr, choices)))
+
+
 def _resolve_backend(t: Weight, backend: str) -> str:
+    _check_backend(backend)
     if backend == "auto":
         return "exact" if _exact_available(t) else "numeric"
     if backend == "exact" and not _exact_available(t):
@@ -315,10 +322,13 @@ class ModuleRep:
     def from_matrices(cls, rs: RootSystem, basis, t_mats, x_mats, *,
                       weight=None, basis_weights=None, backend="exact",
                       q0=None, tag_values=None, kind="custom", verify=True):
+        _check_backend(backend, ("exact", "numeric"))
         evaluator = None
         if weight is not None:
             evaluator, q0, tag_values = _make_evaluator(
                 weight, backend, q0, tag_values)
+        elif backend == "numeric":
+            q0 = complex(DEFAULT_Q0 if q0 is None else q0)
         rep = cls(rs, kind, basis, t_mats, x_mats, weight=weight,
                   basis_weights=basis_weights, backend=backend, q0=q0,
                   tag_values=tag_values, evaluator=evaluator)
@@ -617,43 +627,26 @@ def _group_equal(keys) -> list:
     return list(groups.values())
 
 
-def _cluster_indices(keys, eq) -> list:
-    """Group indices whose keys eq-match a group's first key."""
-    groups: list[list[int]] = []
-    reps: list = []
-    for idx, key in enumerate(keys):
-        placed = False
-        for gi, rep_key in enumerate(reps):
-            if eq(key, rep_key):
-                groups[gi].append(idx)
-                placed = True
-                break
-        if not placed:
-            groups.append([idx])
-            reps.append(key)
-    return groups
-
-
 def weight_decomposition(rep: ModuleRep, tol: float = RANK_TOL
                          ) -> WeightSpaceDecomp:
     """Generalized and plain weight space dimensions, read off the matrices.
 
-    Exact mode expects the stored basis to triangularize the X action (true
-    for the builders in this module); numeric mode accepts any commuting
-    family and clusters the joint eigenstructure.
+    Directions are grouped by joint X character: basis vectors by the X
+    diagonals when every X is upper triangular (as the builders here make
+    them), else eigenvectors of a generic combination of the X. Exact modules
+    of the second kind are read at q0 through a numeric copy. A group's size
+    is its generalized dimension. A group of one is a weight line; for a
+    larger one the plain dimension is the joint kernel of the X_g - chi_g,
+    by exact elimination or a guarded singular value count.
     """
     ops = rep._ops
     d = rep.dim
     triangular = all(_mat_is_upper(m, ops) for m in rep.x_mats)
     if rep.backend == "exact" and not triangular:
         return weight_decomposition(_specialized_copy(rep), tol)
-    if not triangular:
-        return _numeric_eig_decomposition(rep, tol)
+    groups, keys = _weight_groups(rep, tol)
 
-    diag_keys = [tuple(m[k][k] for m in rep.x_mats) for k in range(d)]
-    groups = _character_groups(diag_keys, ops.exact, tol)
-
-    if rep.basis_weights is not None:
+    if triangular and rep.basis_weights is not None:
         by_weight = _group_equal(rep.basis_weights)
         if sorted(map(sorted, by_weight)) != sorted(map(sorted, groups)):
             raise NumericIllConditioned(
@@ -661,18 +654,28 @@ def weight_decomposition(rep: ModuleRep, tol: float = RANK_TOL
 
     labels, spaces = [], {}
     for group in groups:
-        k0 = group[0]
-        label = (rep.basis_weights[k0] if rep.basis_weights is not None
-                 else "diag:" + ",".join(str(x) for x in diag_keys[k0]))
-        rows = []
-        for m, c in zip(rep.x_mats, diag_keys[k0]):
-            shifted = _mat_sub(m, _mat_scale(c, _mat_id(d, ops)))
-            rows.extend(shifted)
-        if ops.exact:
-            _, null = _rank_nullspace(rows, ops)
-            plain = len(null)
+        key = keys[group[0]]
+        if not triangular:
+            label = _match_weight_label(rep, key, tol)
+        elif rep.basis_weights is not None:
+            label = rep.basis_weights[group[0]]
         else:
-            plain = _numeric_nullity(rows, tol)
+            label = "diag:" + ",".join(str(x) for x in key)
+        if len(group) == 1:
+            # commuting operators share an eigenvector in each nonzero
+            # generalized weight space, so a line is a weight line
+            plain = 1
+        elif ops.exact:
+            ident = _mat_id(d, ops)
+            rows = [row for m, c in zip(rep.x_mats, key)
+                    for row in _mat_sub(m, _mat_scale(c, ident))]
+            plain = len(_rank_nullspace(rows, ops)[1])
+        else:
+            import numpy as np
+            eye = np.eye(d)
+            plain = _numeric_nullity(
+                np.vstack([np.asarray(m, dtype=complex) - c * eye
+                           for m, c in zip(rep.x_mats, key)]), tol)
         labels.append(label)
         spaces[label] = (plain, len(group))
     total = sum(v[1] for v in spaces.values())
@@ -681,28 +684,48 @@ def weight_decomposition(rep: ModuleRep, tol: float = RANK_TOL
     return WeightSpaceDecomp(dim=d, labels=tuple(labels), spaces=spaces)
 
 
+def _weight_groups(rep: ModuleRep, tol: float):
+    """(groups, keys): directions grouped by joint X character, and keys[k]
+    the character of direction k, one entry per X generator.
+
+    With upper triangular X, direction k is basis vector k, keyed by the X
+    diagonals. Otherwise (numeric modules only) it is eigenvector k of a
+    generic combination of the X, keyed by its Rayleigh quotients.
+    """
+    ops = rep._ops
+    if all(_mat_is_upper(m, ops) for m in rep.x_mats):
+        keys = [tuple(m[k][k] for m in rep.x_mats) for k in range(rep.dim)]
+    else:
+        import numpy as np
+        xs = np.array(rep.x_mats, dtype=complex)
+        coeffs = [0.5 + (((k + 1) * _GOLDEN) % 1.0) for k in range(len(xs))]
+        vecs = np.linalg.eig(sum(c * x for c, x in zip(coeffs, xs)))[1].T
+        keys = [tuple(complex(v.conj() @ (x @ v) / (v.conj() @ v))
+                      for x in xs) for v in vecs]
+    return _character_groups(keys, ops.exact, tol), keys
+
+
 def _character_groups(keys, exact: bool, tol: float) -> list:
-    """Basis indices grouped by the joint character on the X diagonals:
-    equal keys when exact, else clusters at tol that sit 10 tol apart."""
+    """Indices grouped by joint character: equal keys when exact, else
+    clusters at tol whose first keys sit 10 tol apart."""
     if exact:
         return _group_equal(keys)
-
-    def close(a, b):
-        return all(near(x, y, tol) for x, y in zip(a, b))
-
-    groups = _cluster_indices(keys, close)
-    _guard_cluster_separation(groups, keys, tol)
-    return groups
-
-
-def _guard_cluster_separation(groups, keys, tol):
-    reps = [keys[g[0]] for g in groups]
+    groups, reps = [], []
+    for idx, key in enumerate(keys):
+        for group, first in zip(groups, reps):
+            if all(near(x, y, tol) for x, y in zip(key, first)):
+                group.append(idx)
+                break
+        else:
+            groups.append([idx])
+            reps.append(key)
     for a in range(len(reps)):
         for b in range(a + 1, len(reps)):
             gap = max(abs(x - y) for x, y in zip(reps[a], reps[b]))
             if gap < 10 * tol:
                 raise NumericIllConditioned(
                     f"weight clusters separated by only {gap:.3g}")
+    return groups
 
 
 def _numeric_nullity(rows, tol: float) -> int:
@@ -735,44 +758,6 @@ def _specialized_copy(rep: ModuleRep) -> ModuleRep:
                      weight=rep.weight, basis_weights=rep.basis_weights,
                      region=rep.region, backend="numeric", q0=complex(q0),
                      tag_values=rep.tag_values)
-
-
-def _numeric_eig_decomposition(rep: ModuleRep, tol: float) -> WeightSpaceDecomp:
-    # joint eigenstructure from a generic combination of the X matrices
-    import numpy as np
-    d = rep.dim
-    xs = [np.array(m, dtype=complex) for m in rep.x_mats]
-    coeffs = [0.5 + (((k + 1) * _GOLDEN) % 1.0) for k in range(len(xs))]
-    y = sum(c * m for c, m in zip(coeffs, xs))
-    eigvals, eigvecs = np.linalg.eig(y)
-    groups = _cluster_indices(list(eigvals), lambda a, b: abs(a - b) <= tol)
-    reps = [eigvals[g[0]] for g in groups]
-    for a in range(len(reps)):
-        for b in range(a + 1, len(reps)):
-            if abs(reps[a] - reps[b]) < 10 * tol:
-                raise NumericIllConditioned("eigenvalue clusters too close")
-    labels, spaces = [], {}
-    for group in groups:
-        chars = []
-        for m in xs:
-            vals = []
-            for idx in group:
-                v = eigvecs[:, idx]
-                vals.append(complex(v.conj() @ (m @ v) / (v.conj() @ v)))
-            if max(abs(x - vals[0]) for x in vals) > 10 * tol:
-                raise NumericIllConditioned(
-                    "defective joint eigenstructure; use a triangular basis")
-            chars.append(vals[0])
-        rows = []
-        for m, c in zip(xs, chars):
-            rows.extend((m - c * np.eye(d)).tolist())
-        plain = _numeric_nullity(rows, tol)
-        label = _match_weight_label(rep, chars, tol)
-        labels.append(label)
-        spaces[label] = (plain, len(group))
-    if sum(v[1] for v in spaces.values()) != d:
-        raise NumericIllConditioned("generalized dimensions do not sum up")
-    return WeightSpaceDecomp(dim=d, labels=tuple(labels), spaces=spaces)
 
 
 def _match_weight_label(rep: ModuleRep, chars, tol: float):
@@ -964,8 +949,7 @@ def _block_commutant(rep: ModuleRep, tol: float) -> int | None:
     ops = rep._ops
     if not all(_mat_is_upper(m, ops) for m in rep.x_mats):
         return None
-    keys = [tuple(m[k][k] for m in rep.x_mats) for k in range(rep.dim)]
-    groups = _character_groups(keys, ops.exact, tol)
+    groups, keys = _weight_groups(rep, tol)
     if ops.exact:
         # diagonal X: the stored basis is already a weight basis
         if (len(groups) == rep.dim

@@ -21,15 +21,21 @@ def _private_defs(tree):
     return defs
 
 
-def _references(tree):
+def _references(node, inside=frozenset()):
+    """Names referenced under node, leaving out each def's references to
+    itself: a helper that only calls itself is still dead."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        inside = inside | {node.name}
     names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name)
+    if isinstance(node, ast.Name):
+        names.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        names.add(node.attr)
+    elif isinstance(node, ast.alias):
+        names.add(node.name)
+    names -= inside
+    for child in ast.iter_child_nodes(node):
+        names |= _references(child, inside)
     return names
 
 

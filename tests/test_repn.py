@@ -162,24 +162,52 @@ def test_numeric_decomposition_matches_exact():
     assert exact.spaces == numeric.spaces
 
 
+def lower_conjugate(rep, c):
+    """A dim-2 numeric module conjugated by ((1, 0), (c, 1)), which leaves
+    its X matrices not upper triangular."""
+    low, low_inv = ((1.0, 0.0), (c, 1.0)), ((1.0, 0.0), (-c, 1.0))
+    ops = rep._ops
+    conj = lambda m: repn._mat_mul(repn._mat_mul(low, m, ops), low_inv, ops)
+    twisted = repn.ModuleRep.from_matrices(
+        rep.rs, rep.basis, tuple(conj(m) for m in rep.t_mats),
+        tuple(conj(m) for m in rep.x_mats), weight=rep.weight,
+        basis_weights=rep.basis_weights, backend="numeric", q0=rep.q0)
+    assert twisted.report["all_pass"]
+    return twisted
+
+
 def test_non_triangular_matrices_use_the_eigensolver():
     # conjugating by a lower-triangular matrix destroys the triangular shape,
     # so the decomposition has to go through the numeric eigenvalue path
     rs = build("A", 1)
     t = gamma_with_pairings(rs, ("2",))
     rep = repn.principal_series(t, backend="numeric")
-    low = ((1.0, 0.0), (1.0, 1.0))
-    low_inv = ((1.0, 0.0), (-1.0, 1.0))
-    ops = rep._ops
-    conj = lambda m: repn._mat_mul(repn._mat_mul(low, m, ops), low_inv, ops)
-    twisted = repn.ModuleRep.from_matrices(
-        rs, rep.basis, tuple(conj(m) for m in rep.t_mats),
-        tuple(conj(m) for m in rep.x_mats), weight=t,
-        basis_weights=rep.basis_weights, backend="numeric", q0=rep.q0)
-    assert twisted.report["all_pass"]
+    twisted = lower_conjugate(rep, 1.0)
     dec = repn.weight_decomposition(twisted)
     assert set(dec.labels) == set(repn.weight_decomposition(rep).labels)
     assert all(v == (1, 1) for v in dec.spaces.values())
+
+
+@pytest.mark.parametrize("gamma", [(0, Fraction(1, 2), 3, Fraction(7, 2)),
+                                   (0, 1, 2, 3), (0, 0, 1, 1)])
+def test_exact_a3_decomposition_matches_its_numeric_twin(gamma):
+    t = weight(build("A", 3), gamma)
+    exact = repn.weight_decomposition(repn.principal_series(t, backend="exact"))
+    numeric = repn.weight_decomposition(
+        repn.principal_series(t, backend="numeric"))
+    assert exact.spaces == numeric.spaces
+
+
+def test_non_triangular_module_at_a_non_regular_weight():
+    # X is one Jordan block at t; after conjugation by a lower-triangular
+    # matrix the eigenvectors of X carry the grouping, and the generalized
+    # space has its plain dimension counted by the joint kernel
+    t = weight(build("A", 1), (0, 0))
+    twisted = lower_conjugate(repn.principal_series(t, backend="numeric"), 0.7)
+    assert not repn._mat_is_upper(twisted.x_mats[0], twisted._ops)
+    dec = repn.weight_decomposition(twisted)
+    assert dec.labels == (t,)
+    assert dec.spaces[t] == (1, 2)
 
 
 def test_generalized_dimension_multiset_is_orbit_invariant():
@@ -589,6 +617,44 @@ def test_unknown_commutant_method_is_rejected(method):
     rep = repn.principal_series(gamma_with_pairings(build("A", 1), ("2",)))
     with pytest.raises(ValueError, match="unknown commutant method"):
         repn.commutant_dim(rep, method=method)
+
+
+BACKEND_BUILDERS = {
+    "principal_series": lambda backend: repn.principal_series(
+        weight(build("A", 2), (0, 1, 3)), backend=backend),
+    "calibrated_module": lambda backend: repn.calibrated_module(
+        rg.local_region(gamma_with_pairings(build("C", 2), ("1", "1/2")),
+                        frozenset({build("C", 2).simple_roots[0]})),
+        backend=backend),
+    "spherical": lambda backend: repn.spherical(
+        weight(build("A", 2), (0, 1, 3)), backend=backend),
+    "from_matrices": lambda backend: repn.ModuleRep.from_matrices(
+        build("A", 1), range(1), [((1 + 0j,),)], [((1 + 0j,),)],
+        backend=backend),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(BACKEND_BUILDERS))
+@pytest.mark.parametrize("backend", ["Exact", "numerical", ""])
+def test_unknown_backend_is_rejected(builder, backend):
+    with pytest.raises(ValueError, match="unknown backend"):
+        BACKEND_BUILDERS[builder](backend)
+
+
+def test_from_matrices_needs_a_concrete_backend():
+    with pytest.raises(ValueError, match="'exact' or 'numeric'"):
+        BACKEND_BUILDERS["from_matrices"]("auto")
+
+
+def test_numeric_module_without_weight_or_q0_uses_the_default_q0():
+    rs = build("A", 1)
+    good = repn.principal_series(gamma_with_pairings(rs, ("2",)),
+                                 backend="numeric")
+    rep = repn.ModuleRep.from_matrices(rs, good.basis, good.t_mats,
+                                       good.x_mats, backend="numeric")
+    assert rep.q0 == repn.DEFAULT_Q0
+    assert rep.report["all_pass"]
+    assert rep.describe()["q0"] == [repn.DEFAULT_Q0, 0.0]
 
 
 def test_structural_commutant_has_no_size_limit():
