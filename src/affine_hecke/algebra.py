@@ -326,7 +326,7 @@ class AlgebraElt:
         }
 
 
-def is_central(z: AlgebraElt, cap: int | None = None) -> bool:
+def is_central(z: AlgebraElt) -> bool:
     """Commutation with the T_i and the lattice generators suffices."""
     rs = z.rs
     for i in range(rs.rank):

@@ -1,13 +1,14 @@
 """Finite dimensional modules: principal series, intertwiners, calibrated bases.
 
-Matrices are tuples of tuples over one of two scalar backends. The exact
-backend stores rational functions in q and is available whenever every root
-evaluates to a plain q-power under the weight (in particular for untagged
-generic weights; a common coset tag on all coordinates is fine in type A,
-where it scales each X-generator matrix by a fixed formal unit that cancels
-from every defining relation, so the stored entries simply drop it). Weights
-that put a coset tag on some root, and root-of-unity weights, use the numeric
-backend, where q and the tag symbols receive concrete complex values.
+Matrices are tuples of tuples over the scalars object each module holds, which
+gives its backend, q0, tolerance, q-powers and weight character. Exact scalars
+are rational functions in q, available whenever every root evaluates to a
+plain q-power under the weight (in particular for untagged generic weights; a
+common coset tag on all coordinates is fine in type A, where it scales each
+X-generator matrix by a fixed formal unit that cancels from every defining
+relation, so the stored entries simply drop it). Weights that put a coset tag
+on some root, and root-of-unity weights, take numeric scalars: complex numbers
+at q0 (exp(i pi / ell) at a root of unity), with unit values for the tags.
 
 Verification is built in rather than trusted: every constructed module stores
 a relation report, weight space data is recomputed from the matrices, and
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,35 +46,70 @@ _GOLDEN = 0.6180339887498949
 
 
 # ---------------------------------------------------------------------------
-# scalar backends
+# scalars: rational functions in q, or complex numbers at q0
 # ---------------------------------------------------------------------------
 
-class _ExactOps:
+class _ExactScalars:
+    """Rational functions in q; ev is the character of t with its coset tags
+    dropped, None without a weight."""
+
+    backend = "exact"
     exact = True
-    tol = None
+    tol = q0 = None
+    qm = Q_MINUS
+    zero = staticmethod(ExactScalar.zero)
+    one = staticmethod(ExactScalar.one)
+    q = staticmethod(ExactScalar.q_power)
+    is_zero = staticmethod(ExactScalar.is_zero)
+    eq = staticmethod(operator.eq)
+    entry = staticmethod(ExactScalar.serialize)
+
+    def __init__(self, t: Weight | None = None):
+        self.ev = None if t is None else Weight(t.rs, t.gamma).eval
+
+    def at(self, t: Weight) -> "_ExactScalars":
+        return _ExactScalars(t)
 
     @staticmethod
-    def zero():
-        return ExactScalar.zero()
-
-    @staticmethod
-    def one():
-        return ExactScalar.one()
-
-    @staticmethod
-    def is_zero(x) -> bool:
-        return x.is_zero()
-
-    @staticmethod
-    def eq(x, y) -> bool:
-        return x == y
+    def lift(c: ExactScalar):
+        return c
 
 
-class _NumericOps:
+class _NumericScalars:
+    """Complex numbers at q = q0, worked out from t unless given; each tag
+    symbol of t takes a unit value, golden-angle spaced in sorted order."""
+
+    backend = "numeric"
     exact = False
+    tol = NUMERIC_TOL
 
-    def __init__(self, tol: float = NUMERIC_TOL):
-        self.tol = tol
+    def __init__(self, t: Weight | None = None, q0=None):
+        if q0 is None:
+            q0 = (cmath.exp(1j * math.pi / t.ell)
+                  if t is not None and t.ell is not None else DEFAULT_Q0)
+        self.q0 = q0 = complex(q0)
+        self.qm = q0 - 1 / q0
+        self.ev = None
+        if t is None:
+            return
+        syms = sorted({s for tag in t.tags for s, _ in tag})
+        vals = {s: cmath.exp(2j * math.pi * (((k + 1) * _GOLDEN) % 1.0))
+                for k, s in enumerate(syms)}
+
+        def ev(lam):
+            expo = 2 * vec_dot(t.gamma, lam)
+            if t.ell is not None:
+                # mirrors the reduction in Weight.eval
+                expo = Fraction(2 * (int(expo // 2) % t.ell))
+            out = q0 ** float(expo)
+            for sym, k in t.tag_of(lam):
+                out *= vals[sym] ** k
+            return complex(out)
+
+        self.ev = ev
+
+    def at(self, t: Weight) -> "_NumericScalars":
+        return _NumericScalars(t, self.q0)
 
     @staticmethod
     def zero():
@@ -82,22 +119,23 @@ class _NumericOps:
     def one():
         return 1 + 0j
 
+    # plain methods reading the constant: the hottest calls of _mat_mul, and
+    # self.tol or static methods made relation checks 10-25 % slower
     def is_zero(self, x) -> bool:
-        return abs(x) <= self.tol
+        return abs(x) <= NUMERIC_TOL
 
     def eq(self, x, y) -> bool:
-        return near(x, y, self.tol)
+        return near(x, y, NUMERIC_TOL)
 
+    def q(self, k):
+        return self.q0 ** k
 
-def _ops_for(backend: str, tol: float = NUMERIC_TOL):
-    return _ExactOps() if backend == "exact" else _NumericOps(tol)
+    def lift(self, c: ExactScalar):
+        return c.specialize(self.q0)
 
-
-def _exact_available(t: Weight) -> bool:
-    """Exact entries need every root to evaluate to a plain q-power."""
-    if t.ell is not None:
-        return False
-    return all(t.tag_of(a) == TRIVIAL_TAG for a in t.rs.positive_roots)
+    @staticmethod
+    def entry(x):
+        return [x.real, x.imag]
 
 
 def _check_backend(backend: str, choices=("auto", "exact", "numeric")):
@@ -106,64 +144,21 @@ def _check_backend(backend: str, choices=("auto", "exact", "numeric")):
                          + " or ".join(map(repr, choices)))
 
 
-def _resolve_backend(t: Weight, backend: str) -> str:
+def _scalars(t: Weight, backend: str):
+    """The scalars of a module built at t for backend auto, exact or numeric;
+    exact ones need every root to evaluate to a plain q-power."""
     _check_backend(backend)
+    tagged = any(t.tag_of(a) != TRIVIAL_TAG for a in t.rs.positive_roots)
     if backend == "auto":
-        return "exact" if _exact_available(t) else "numeric"
-    if backend == "exact" and not _exact_available(t):
-        if t.ell is not None:
-            raise UnsupportedType(
-                "root-of-unity weights need the numeric backend")
+        backend = "numeric" if tagged or t.ell is not None else "exact"
+    if backend == "numeric":
+        return _NumericScalars(t)
+    if t.ell is not None:
+        raise UnsupportedType("root-of-unity weights need the numeric backend")
+    if tagged:
         raise MixedCosetExact(
             "some root carries a coset tag; use the numeric backend")
-    return backend
-
-
-def _numeric_tag_values(t: Weight, overrides=None) -> dict:
-    """Deterministic unit values for the tag symbols, golden-angle spaced."""
-    syms = sorted({s for tag in t.tags for s, _ in tag})
-    vals = {s: cmath.exp(2j * math.pi * (((k + 1) * _GOLDEN) % 1.0))
-            for k, s in enumerate(syms)}
-    if overrides:
-        vals.update(overrides)
-    return vals
-
-
-def _make_evaluator(t: Weight, backend: str, q0, tag_values):
-    """(lambda -> scalar) for t, plus the resolved q0 and tag values."""
-    if backend == "exact":
-        detagged = Weight(t.rs, t.gamma, None, None)
-        return detagged.eval, None, None
-    if q0 is None:
-        q0 = cmath.exp(1j * math.pi / t.ell) if t.ell is not None else DEFAULT_Q0
-    q0 = complex(q0)
-    vals = _numeric_tag_values(t, tag_values)
-
-    def ev(lam):
-        expo = 2 * vec_dot(t.gamma, lam)
-        if t.ell is not None:
-            # mirrors the reduction in Weight.eval
-            expo = Fraction(2 * (int(expo // 2) % t.ell))
-        out = q0 ** float(expo)
-        for sym, k in t.tag_of(lam):
-            out *= vals[sym] ** k
-        return complex(out)
-
-    return ev, q0, vals
-
-
-def _coeff(c: ExactScalar, backend: str, q0):
-    return c if backend == "exact" else c.specialize(q0)
-
-
-def _q_scalar(backend: str, q0):
-    return ExactScalar.q_power(1) if backend == "exact" else complex(q0)
-
-
-def _qm_scalar(backend: str, q0):
-    if backend == "exact":
-        return Q_MINUS
-    return complex(q0) - 1 / complex(q0)
+    return _ExactScalars(t)
 
 
 def _char_is_one(t: Weight, mu) -> bool:
@@ -284,14 +279,12 @@ class ModuleRep:
     """
 
     __slots__ = ("rs", "kind", "basis", "basis_weights", "t_mats", "x_mats",
-                 "weight", "region", "backend", "q0", "tag_values", "report",
-                 "_ev", "_index", "_xpow_cache", "_xinv_cache",
-                 "_gen_basis_cache")
+                 "weight", "region", "report", "_ops", "_index",
+                 "_xpow_cache", "_xinv_cache", "_gen_basis_cache")
 
     def __init__(self, rs: RootSystem, kind: str, basis, t_mats, x_mats,
-                 weight: Weight | None = None, basis_weights=None,
-                 region: LocalRegion | None = None, backend: str = "exact",
-                 q0=None, tag_values=None, evaluator=None):
+                 scalars, weight: Weight | None = None, basis_weights=None,
+                 region: LocalRegion | None = None):
         self.rs = rs
         self.kind = kind
         self.basis = tuple(basis)
@@ -308,11 +301,8 @@ class ModuleRep:
         self.weight = weight
         self.basis_weights = tuple(basis_weights) if basis_weights else None
         self.region = region
-        self.backend = backend
-        self.q0 = q0
-        self.tag_values = tag_values
         self.report = None
-        self._ev = evaluator
+        self._ops = scalars
         self._index = {w: k for k, w in enumerate(self.basis)}
         self._xpow_cache = {}
         self._xinv_cache = {}
@@ -321,17 +311,16 @@ class ModuleRep:
     @classmethod
     def from_matrices(cls, rs: RootSystem, basis, t_mats, x_mats, *,
                       weight=None, basis_weights=None, backend="exact",
-                      q0=None, tag_values=None, kind="custom", verify=True):
+                      q0=None, kind="custom", verify=True):
         _check_backend(backend, ("exact", "numeric"))
-        evaluator = None
-        if weight is not None:
-            evaluator, q0, tag_values = _make_evaluator(
-                weight, backend, q0, tag_values)
-        elif backend == "numeric":
-            q0 = complex(DEFAULT_Q0 if q0 is None else q0)
-        rep = cls(rs, kind, basis, t_mats, x_mats, weight=weight,
-                  basis_weights=basis_weights, backend=backend, q0=q0,
-                  tag_values=tag_values, evaluator=evaluator)
+        if backend == "numeric":
+            scalars = _NumericScalars(weight, q0)
+        elif q0 is None:
+            scalars = _ExactScalars(weight)
+        else:
+            raise ValueError("q0 applies to the numeric backend only")
+        rep = cls(rs, kind, basis, t_mats, x_mats, scalars, weight=weight,
+                  basis_weights=basis_weights)
         if verify:
             rep.report = verify_relations(rep)
         return rep
@@ -341,8 +330,12 @@ class ModuleRep:
         return len(self.basis)
 
     @property
-    def _ops(self):
-        return _ops_for(self.backend)
+    def backend(self) -> str:
+        return self._ops.backend
+
+    @property
+    def q0(self) -> complex | None:
+        return self._ops.q0
 
     def x_power(self, mu):
         """Matrix of X^mu, assembled from cached generator powers."""
@@ -369,13 +362,8 @@ class ModuleRep:
         return inv
 
     def describe(self) -> dict:
-        def entry(x):
-            if self.backend == "exact":
-                return x.serialize()
-            return [x.real, x.imag]
-
         def matrix(m):
-            return [[entry(x) for x in row] for row in m]
+            return [[self._ops.entry(x) for x in row] for row in m]
 
         out = {
             "kind": self.kind,
@@ -405,8 +393,9 @@ class ModuleRep:
 
 def direct_sum(a: ModuleRep, b: ModuleRep) -> ModuleRep:
     """Block-diagonal sum; mainly a commutant test fixture."""
-    if a.rs.key != b.rs.key or a.backend != b.backend:
-        raise ValueError("summands must share the root system and backend")
+    if a.rs.key != b.rs.key or (a.backend, a.q0) != (b.backend, b.q0):
+        raise ValueError("summands must share the root system, the backend "
+                         "and q0")
     ops = a._ops
     zero = ops.zero()
 
@@ -423,8 +412,7 @@ def direct_sum(a: ModuleRep, b: ModuleRep) -> ModuleRep:
         a.rs, a.basis + b.basis,
         [block(m1, m2) for m1, m2 in zip(a.t_mats, b.t_mats)],
         [block(m1, m2) for m1, m2 in zip(a.x_mats, b.x_mats)],
-        basis_weights=weights, backend=a.backend, q0=a.q0,
-        tag_values=a.tag_values, kind="direct_sum")
+        basis_weights=weights, backend=a.backend, q0=a.q0, kind="direct_sum")
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +447,8 @@ def _principal_terms(rs: RootSystem, cap: int | None = None):
     return t_terms, x_terms
 
 
-def principal_series(t: Weight, backend: str = "auto", q0=None,
-                     tag_values=None, cap: int | None = None) -> ModuleRep:
+def principal_series(t: Weight, backend: str = "auto",
+                     cap: int | None = None) -> ModuleRep:
     """The module induced from the one-dimensional X-module at t.
 
     The basis is the Weyl group in length order, so the X matrices come out
@@ -470,9 +458,7 @@ def principal_series(t: Weight, backend: str = "auto", q0=None,
     """
     rs = t.rs
     basis = rs.weyl_elements(cap)
-    backend = _resolve_backend(t, backend)
-    ev, q0, tag_values = _make_evaluator(t, backend, q0, tag_values)
-    ops = _ops_for(backend)
+    ops = _scalars(t, backend)
     d = len(basis)
     t_terms, x_terms = _principal_terms(rs, cap)
 
@@ -482,20 +468,18 @@ def principal_series(t: Weight, backend: str = "auto", q0=None,
         for i in range(rs.rank):
             out = [ops.zero()] * d
             for row, c in t_terms[col][i]:
-                out[row] = out[row] + _coeff(c, backend, q0)
+                out[row] = out[row] + ops.lift(c)
             t_cols[i].append(out)
         for k in range(len(rs.lattice_generators())):
             out = [ops.zero()] * d
             for row, lam, c in x_terms[col][k]:
-                out[row] = out[row] + _coeff(c, backend, q0) * ev(lam)
+                out[row] = out[row] + ops.lift(c) * ops.ev(lam)
             x_cols[k].append(out)
 
     t_mats = [_columns(t_cols[i]) for i in range(rs.rank)]
     x_mats = [_columns(x_cols[k]) for k in sorted(x_cols)]
-    rep = ModuleRep(rs, "principal_series", basis, t_mats, x_mats, weight=t,
-                    basis_weights=[t.weyl_act(w) for w in basis],
-                    backend=backend, q0=q0, tag_values=tag_values,
-                    evaluator=ev)
+    rep = ModuleRep(rs, "principal_series", basis, t_mats, x_mats, ops,
+                    weight=t, basis_weights=[t.weyl_act(w) for w in basis])
     rep.report = verify_relations(rep)
     return rep
 
@@ -517,16 +501,15 @@ def _alternating_product(a, b, m: int, ops):
     return out
 
 
-def verify_relations(rep: ModuleRep, tol: float = NUMERIC_TOL) -> dict:
+def verify_relations(rep: ModuleRep) -> dict:
     """Check the defining relations as matrix identities and report failures."""
     rs = rep.rs
-    ops = _ops_for(rep.backend, tol)
+    ops = rep._ops
     d = rep.dim
     ident = _mat_id(d, ops)
-    qm = _qm_scalar(rep.backend, rep.q0)
+    qm = ops.qm
     gens = rs.lattice_generators()
-    report = {"backend": rep.backend, "dim": d,
-              "tolerance": None if rep.backend == "exact" else tol}
+    report = {"backend": rep.backend, "dim": d, "tolerance": ops.tol}
 
     failures = []
     for i, m in enumerate(rep.t_mats):
@@ -627,8 +610,7 @@ def _group_equal(keys) -> list:
     return list(groups.values())
 
 
-def weight_decomposition(rep: ModuleRep, tol: float = RANK_TOL
-                         ) -> WeightSpaceDecomp:
+def weight_decomposition(rep: ModuleRep) -> WeightSpaceDecomp:
     """Generalized and plain weight space dimensions, read off the matrices.
 
     Directions are grouped by joint X character: basis vectors by the X
@@ -641,9 +623,10 @@ def weight_decomposition(rep: ModuleRep, tol: float = RANK_TOL
     """
     ops = rep._ops
     d = rep.dim
+    tol = RANK_TOL
     triangular = all(_mat_is_upper(m, ops) for m in rep.x_mats)
-    if rep.backend == "exact" and not triangular:
-        return weight_decomposition(_specialized_copy(rep), tol)
+    if ops.exact and not triangular:
+        return weight_decomposition(_specialized_copy(rep))
     groups, keys = _weight_groups(rep, tol)
 
     if triangular and rep.basis_weights is not None:
@@ -690,19 +673,28 @@ def _weight_groups(rep: ModuleRep, tol: float):
 
     With upper triangular X, direction k is basis vector k, keyed by the X
     diagonals. Otherwise (numeric modules only) it is eigenvector k of a
-    generic combination of the X, keyed by its Rayleigh quotients.
+    generic combination of the X, keyed by its Rayleigh quotients; a
+    defective character splits there into clusters whose eigenvectors are
+    parallel up to rounding, which raises NumericIllConditioned.
     """
     ops = rep._ops
     if all(_mat_is_upper(m, ops) for m in rep.x_mats):
         keys = [tuple(m[k][k] for m in rep.x_mats) for k in range(rep.dim)]
-    else:
-        import numpy as np
-        xs = np.array(rep.x_mats, dtype=complex)
-        coeffs = [0.5 + (((k + 1) * _GOLDEN) % 1.0) for k in range(len(xs))]
-        vecs = np.linalg.eig(sum(c * x for c, x in zip(coeffs, xs)))[1].T
-        keys = [tuple(complex(v.conj() @ (x @ v) / (v.conj() @ v))
-                      for x in xs) for v in vecs]
-    return _character_groups(keys, ops.exact, tol), keys
+        return _character_groups(keys, ops.exact, tol), keys
+    import numpy as np
+    xs = np.array(rep.x_mats, dtype=complex)
+    coeffs = [0.5 + (((k + 1) * _GOLDEN) % 1.0) for k in range(len(xs))]
+    vecs = np.linalg.eig(sum(c * x for c, x in zip(coeffs, xs)))[1].T
+    keys = [tuple(complex(v.conj() @ (x @ v) / (v.conj() @ v))
+                  for x in xs) for v in vecs]
+    groups = _character_groups(keys, False, tol)
+    owner = {k: n for n, group in enumerate(groups) for k in group}
+    cos = np.abs(vecs.conj() @ vecs.T)   # eig returns unit eigenvectors
+    if any(owner[i] != owner[j] for i, j in np.argwhere(cos > 1 - tol)):
+        raise NumericIllConditioned(
+            "eigenvectors of distinct clusters are parallel: the X matrices "
+            "have a Jordan block that the eigensolver split")
+    return groups, keys
 
 
 def _character_groups(keys, exact: bool, tol: float) -> list:
@@ -747,17 +739,16 @@ def _numeric_nullity(rows, tol: float) -> int:
 
 def _specialized_copy(rep: ModuleRep) -> ModuleRep:
     """Numeric shadow of an exact module (same basis, entries at q0)."""
-    q0 = rep.q0 if rep.q0 is not None else DEFAULT_Q0
+    ops = _NumericScalars(rep.weight)
 
     def spec(m):
-        return tuple(tuple(x.specialize(q0) for x in row) for row in m)
+        return tuple(tuple(ops.lift(x) for x in row) for row in m)
 
     return ModuleRep(rep.rs, rep.kind, rep.basis,
                      [spec(m) for m in rep.t_mats],
-                     [spec(m) for m in rep.x_mats],
+                     [spec(m) for m in rep.x_mats], ops,
                      weight=rep.weight, basis_weights=rep.basis_weights,
-                     region=rep.region, backend="numeric", q0=complex(q0),
-                     tag_values=rep.tag_values)
+                     region=rep.region)
 
 
 def _match_weight_label(rep: ModuleRep, chars, tol: float):
@@ -766,7 +757,7 @@ def _match_weight_label(rep: ModuleRep, chars, tol: float):
         return fallback
     gens = rep.rs.lattice_generators()
     for wt in dict.fromkeys(rep.basis_weights):
-        ev, _, _ = _make_evaluator(wt, "numeric", rep.q0, rep.tag_values)
+        ev = rep._ops.at(wt).ev
         if all(near(ev(g), c, 10 * tol) for g, c in zip(gens, chars)):
             return wt
     return fallback
@@ -823,14 +814,14 @@ def tau_basis(rep: ModuleRep) -> dict:
     Returns {w: vector} where the vector spans the w-translate weight line and
     is normalized with coefficient 1 on the leading basis element.
     """
-    if rep.weight is None or rep._ev is None:
+    if rep.weight is None:
         raise ValueError("module lacks a backing weight")
     if not rep.weight.is_regular():
         raise NotRegular("the intertwiner basis needs a regular weight")
     rs = rep.rs
     ops = rep._ops
     one = ops.one()
-    qm = _qm_scalar(rep.backend, rep.q0)
+    qm = ops.qm
     vectors: dict[WeylElt, tuple] = {}
     for w in rep.basis:
         word = w.reduced_word()
@@ -842,30 +833,32 @@ def tau_basis(rep: ModuleRep) -> dict:
         i = word[0]
         u = rs.simple_reflection(i) * w
         prev = vectors[u]
-        val = rep._ev(u.act_inverse(vec_neg(rs.simple_roots[i])))
+        val = ops.ev(u.act_inverse(vec_neg(rs.simple_roots[i])))
         c = qm / (one - val)
         moved = _mat_vec(rep.t_mats[i], prev, ops)
         vectors[w] = tuple(x - c * y for x, y in zip(moved, prev))
     return vectors
 
 
-def spherical(t: Weight, backend: str = "auto", q0=None, tag_values=None,
+def spherical(t: Weight, backend: str = "auto",
               expansion: str | bool = "auto",
               rep: ModuleRep | None = None) -> SphericalCheck:
     """The q-symmetrizing vector of the principal series and its checks.
 
     expansion=True forces the closed-form comparison (NotRegular if the
-    weight is not regular); "auto" runs it exactly when it applies.
+    weight is not regular); "auto" runs it exactly when it applies. A given
+    rep is used as the principal series; backend must then be "auto" or
+    its backend.
     """
     if rep is None:
-        rep = principal_series(t, backend=backend, q0=q0,
-                               tag_values=tag_values)
+        rep = principal_series(t, backend=backend)
+    elif backend not in ("auto", rep.backend):
+        _check_backend(backend)
+        raise ValueError(f"backend {backend!r} does not match the "
+                         f"{rep.backend!r} module passed as rep")
     ops = rep._ops
-    q = _q_scalar(rep.backend, rep.q0)
-    if rep.backend == "exact":
-        vector = tuple(ExactScalar.q_power(w.length()) for w in rep.basis)
-    else:
-        vector = tuple(complex(rep.q0) ** w.length() for w in rep.basis)
+    q = ops.q(1)
+    vector = tuple(ops.q(w.length()) for w in rep.basis)
     eigen_pass = all(
         all(ops.eq(a, q * b) for a, b in zip(_mat_vec(m, vector, ops), vector))
         for m in rep.t_mats)
@@ -889,11 +882,9 @@ def spherical(t: Weight, backend: str = "auto", q0=None, tag_values=None,
         one = ops.one()
         total = [ops.zero()] * rep.dim
         for z in rep.basis:
-            coeff = (ExactScalar.q_power(w0.length())
-                     if rep.backend == "exact"
-                     else complex(rep.q0) ** w0.length())
+            coeff = ops.q(w0.length())
             for alpha in (w0 * z).inversion_set():
-                val = rep._ev(alpha)
+                val = ops.ev(alpha)
                 coeff = coeff * ((one / q - q * val) / (one - val))
             vz = basis_vectors[z]
             total = [acc + coeff * x for acc, x in zip(total, vz)]
@@ -912,8 +903,7 @@ def kato_irreducible(t: Weight) -> bool:
     return not t.zp_sets()[1]
 
 
-def commutant_dim(rep: ModuleRep, method: str = "auto",
-                  tol: float = RANK_TOL) -> int:
+def commutant_dim(rep: ModuleRep, method: str = "auto") -> int:
     """Dimension of the algebra of matrices commuting with all generators.
 
     method="auto" works block by block whenever every X matrix is upper
@@ -932,7 +922,7 @@ def commutant_dim(rep: ModuleRep, method: str = "auto",
         raise ValueError(
             f"unknown commutant method {method!r}; use 'auto' or 'exact'")
     if method == "auto":
-        via_blocks = _block_commutant(rep, tol)
+        via_blocks = _block_commutant(rep, RANK_TOL)
         if via_blocks is not None:
             return via_blocks
     d = rep.dim
@@ -940,7 +930,7 @@ def commutant_dim(rep: ModuleRep, method: str = "auto",
         raise TooLarge(f"commutant solve needs dim <= 200, got {d}")
     if method == "exact":
         return _exact_commutant(rep)
-    return _numeric_commutant(rep, tol)
+    return _numeric_commutant(rep, RANK_TOL)
 
 
 def _block_commutant(rep: ModuleRep, tol: float) -> int | None:
@@ -1057,7 +1047,7 @@ def _t_graph_components(rep: ModuleRep) -> int:
 
 
 def _exact_commutant(rep: ModuleRep) -> int:
-    ops = _ExactOps()
+    ops = _ExactScalars()
     d = rep.dim
     zero = ops.zero()
     rows = []
@@ -1084,7 +1074,7 @@ def _numeric_commutant(rep: ModuleRep, tol: float) -> int:
         raise TooLarge(
             "numeric commutant solve is limited to dim <= 24; "
             "modules with triangular X use the weight-basis route instead")
-    if rep.backend == "exact":
+    if rep._ops.exact:
         rep = _specialized_copy(rep)
     eye = np.eye(d)
     gens = rep.t_mats + rep.x_mats
@@ -1116,7 +1106,7 @@ def generalized_weight_basis(rep: ModuleRep, t: Weight):
     m = len(positions)
     ops = rep._ops
     d = rep.dim
-    ev, _, _ = _make_evaluator(t, rep.backend, rep.q0, rep.tag_values)
+    ev = ops.at(t).ev
     rows = []
     for g, xm in zip(rep.rs.lattice_generators(), rep.x_mats):
         shifted = _mat_sub(xm, _mat_scale(ev(g), _mat_id(d, ops)))
@@ -1167,7 +1157,7 @@ def tau_operator(i: int, t: Weight, rep: ModuleRep) -> TauOperator:
     a = _mat_sub(_mat_id(rep.dim, ops), rep.x_power(vec_neg(alpha)))
     c = _solve_in_span(source, _mat_mul(a, source, ops), ops)
     c_inv = _mat_inverse(c, ops)
-    qm = _qm_scalar(rep.backend, rep.q0)
+    qm = ops.qm
     moved = _mat_mul(rep.t_mats[i], source, ops)
     correction = _mat_mul(_mat_scale(qm, source), c_inv, ops)
     action = _mat_sub(moved, correction)
@@ -1182,8 +1172,7 @@ def tau_operator(i: int, t: Weight, rep: ModuleRep) -> TauOperator:
 # ---------------------------------------------------------------------------
 
 def calibrated_module(region: LocalRegion, force: bool = False,
-                      backend: str = "auto", q0=None,
-                      tag_values=None) -> ModuleRep:
+                      backend: str = "auto") -> ModuleRep:
     """One-dimensional weight space module carried by a skew local region.
 
     X acts diagonally through the chamber weights; each T generator mixes a
@@ -1198,15 +1187,13 @@ def calibrated_module(region: LocalRegion, force: bool = False,
     if not basis:
         raise EmptyRegion("no chambers index this region")
     rs = t.rs
-    backend = _resolve_backend(t, backend)
-    ev, q0, tag_values = _make_evaluator(t, backend, q0, tag_values)
-    ops = _ops_for(backend)
+    ops = _scalars(t, backend)
+    ev = ops.ev
     d = len(basis)
     index = {w: k for k, w in enumerate(basis)}
     one = ops.one()
-    qm = _qm_scalar(backend, q0)
-    q_inv = (ExactScalar.q_power(-1) if backend == "exact"
-             else 1 / complex(q0))
+    qm = ops.qm
+    q_inv = ops.q(-1)
 
     x_mats = []
     for g in rs.lattice_generators():
@@ -1230,9 +1217,8 @@ def calibrated_module(region: LocalRegion, force: bool = False,
             cols.append(col)
         t_mats.append(_columns(cols))
 
-    rep = ModuleRep(rs, "calibrated", basis, t_mats, x_mats, weight=t,
+    rep = ModuleRep(rs, "calibrated", basis, t_mats, x_mats, ops, weight=t,
                     basis_weights=[t.weyl_act(w) for w in basis],
-                    region=region, backend=backend, q0=q0,
-                    tag_values=tag_values, evaluator=ev)
+                    region=region)
     rep.report = verify_relations(rep)
     return rep

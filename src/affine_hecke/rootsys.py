@@ -460,17 +460,16 @@ class RootSystem:
 
     def weyl_elements(self, cap: int | None = None) -> tuple["WeylElt", ...]:
         """Every Weyl element exactly once, sorted by (length, reduced word)."""
-        if self._all_elements is not None:
-            return self._all_elements
         limit = weyl_cap(cap)
         if self.weyl_order() > limit:
             raise GroupTooLarge(
                 f"|W| = {self.weyl_order()} exceeds cap {limit}")
-        elements = self.subgroup(self._simple_reflections, limit)
-        if len(elements) != self.weyl_order():
-            raise AssertionError("Weyl enumeration count mismatch")
-        self._all_elements = elements
-        return elements
+        if self._all_elements is None:
+            elements = self.subgroup(self._simple_reflections, limit)
+            if len(elements) != self.weyl_order():
+                raise AssertionError("Weyl enumeration count mismatch")
+            self._all_elements = elements
+        return self._all_elements
 
     def long_element(self) -> "WeylElt":
         w = self.identity()

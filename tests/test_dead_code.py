@@ -1,4 +1,5 @@
-"""Every private helper of the library is used somewhere in the library."""
+"""Every private helper of the library is used somewhere in the library, and
+every parameter of a function is read by its body."""
 
 import ast
 from pathlib import Path
@@ -47,3 +48,26 @@ def test_no_private_helper_is_unreferenced():
     dead = sorted(f"{module}:{name}" for module, tree in trees.items()
                   for name in _private_defs(tree) if name not in used)
     assert not dead, f"private helpers with no reference in src: {dead}"
+
+
+def _unread_parameters(tree):
+    """Parameters that a def's body never reads, self and cls aside. Lambdas
+    are left out: those of one dispatch table share a signature."""
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                  + [args.vararg, args.kwarg] if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{node.name}({p})" for p in params
+                   if p not in read and p not in ("self", "cls")]
+    return unread
+
+
+def test_no_parameter_is_unread():
+    unread = sorted(f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
+                    for name in _unread_parameters(ast.parse(path.read_text())))
+    assert not unread, f"parameters that their function never reads: {unread}"

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -162,12 +163,15 @@ def test_numeric_decomposition_matches_exact():
     assert exact.spaces == numeric.spaces
 
 
-def lower_conjugate(rep, c):
-    """A dim-2 numeric module conjugated by ((1, 0), (c, 1)), which leaves
-    its X matrices not upper triangular."""
-    low, low_inv = ((1.0, 0.0), (c, 1.0)), ((1.0, 0.0), (-c, 1.0))
-    ops = rep._ops
-    conj = lambda m: repn._mat_mul(repn._mat_mul(low, m, ops), low_inv, ops)
+def lower_conjugate(rep, entry):
+    """A numeric module conjugated by the unit lower triangular matrix with
+    entry(i, j) below the diagonal, which leaves its X matrices not upper
+    triangular."""
+    d = rep.dim
+    low = np.array([[1.0 if i == j else entry(i, j) if j < i else 0.0
+                     for j in range(d)] for i in range(d)])
+    low_inv = np.linalg.inv(low)
+    conj = lambda m: tuple(map(tuple, (low @ np.array(m) @ low_inv).tolist()))
     twisted = repn.ModuleRep.from_matrices(
         rep.rs, rep.basis, tuple(conj(m) for m in rep.t_mats),
         tuple(conj(m) for m in rep.x_mats), weight=rep.weight,
@@ -182,7 +186,7 @@ def test_non_triangular_matrices_use_the_eigensolver():
     rs = build("A", 1)
     t = gamma_with_pairings(rs, ("2",))
     rep = repn.principal_series(t, backend="numeric")
-    twisted = lower_conjugate(rep, 1.0)
+    twisted = lower_conjugate(rep, lambda i, j: 1.0)
     dec = repn.weight_decomposition(twisted)
     assert set(dec.labels) == set(repn.weight_decomposition(rep).labels)
     assert all(v == (1, 1) for v in dec.spaces.values())
@@ -203,11 +207,29 @@ def test_non_triangular_module_at_a_non_regular_weight():
     # matrix the eigenvectors of X carry the grouping, and the generalized
     # space has its plain dimension counted by the joint kernel
     t = weight(build("A", 1), (0, 0))
-    twisted = lower_conjugate(repn.principal_series(t, backend="numeric"), 0.7)
+    twisted = lower_conjugate(repn.principal_series(t, backend="numeric"),
+                              lambda i, j: 0.7)
     assert not repn._mat_is_upper(twisted.x_mats[0], twisted._ops)
     dec = repn.weight_decomposition(twisted)
     assert dec.labels == (t,)
     assert dec.spaces[t] == (1, 2)
+
+
+@pytest.mark.parametrize("rank,mode,gamma,entry", [
+    (3, "GL", (0, 0, 1, 1), lambda i, j: 0.3),
+    (3, "GL", (0, 0, 1, 1), lambda i, j: 0.3 * (i + 1) / (j + 2)),
+    (2, "P", (0, 0, 0), lambda i, j: 0.3 * (i + 1) / (j + 2)),
+])
+def test_split_jordan_blocks_are_refused(rank, mode, gamma, entry):
+    # the eigensolver splits a defective character by 1e-5 to 1e-4, wider
+    # than the cluster guard, into pieces whose eigenvectors stay parallel;
+    # counted as separate characters they would give 21, 24 and 4 spaces
+    # where there are 6, 6 and 1
+    t = weight(build("A", rank, lattice_mode=mode), gamma)
+    twisted = lower_conjugate(repn.principal_series(t, backend="numeric"),
+                              entry)
+    with pytest.raises(NumericIllConditioned, match="parallel"):
+        repn.weight_decomposition(twisted)
 
 
 def test_generalized_dimension_multiset_is_orbit_invariant():
@@ -533,6 +555,17 @@ def test_direct_sum_doubles_into_a_matrix_commutant():
     assert dense_commutant(doubled_line) == 4
 
 
+def test_direct_sum_needs_one_q0():
+    # the sum's relations are checked at one q0: summed anyway, a generic
+    # and a root-of-unity module fail T_1 and both cross relations
+    rs = build("A", 1, lattice_mode="GL")
+    generic = repn.principal_series(weight(rs, (0, 1)), backend="numeric")
+    rooted = repn.principal_series(weight(rs, (0, 1), None, 3))
+    assert generic.q0 != rooted.q0
+    with pytest.raises(ValueError, match="q0"):
+        repn.direct_sum(generic, rooted)
+
+
 @pytest.mark.parametrize("gamma,tagged,ell,gen_dims,expected", [
     # the numeric A3 modules of the weyl_numeric benchmark
     ((0, 1, 0, 1), True, None, {1}, 1),
@@ -628,6 +661,9 @@ BACKEND_BUILDERS = {
         backend=backend),
     "spherical": lambda backend: repn.spherical(
         weight(build("A", 2), (0, 1, 3)), backend=backend),
+    "spherical_of_a_module": lambda backend: repn.spherical(
+        weight(build("A", 2), (0, 1, 3)), backend=backend,
+        rep=repn.principal_series(weight(build("A", 2), (0, 1, 3)))),
     "from_matrices": lambda backend: repn.ModuleRep.from_matrices(
         build("A", 1), range(1), [((1 + 0j,),)], [((1 + 0j,),)],
         backend=backend),
@@ -639,6 +675,14 @@ BACKEND_BUILDERS = {
 def test_unknown_backend_is_rejected(builder, backend):
     with pytest.raises(ValueError, match="unknown backend"):
         BACKEND_BUILDERS[builder](backend)
+
+
+def test_spherical_backend_must_match_the_given_module():
+    t = weight(build("A", 2), (0, 1, 3))
+    rep = repn.principal_series(t)
+    assert repn.spherical(t, backend="exact", rep=rep).eigen_pass
+    with pytest.raises(ValueError, match="does not match"):
+        repn.spherical(t, backend="numeric", rep=rep)
 
 
 def test_from_matrices_needs_a_concrete_backend():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from affine_hecke.errors import GroupTooLarge, UnsupportedType
 from affine_hecke.rootsys import (
+    WEYL_CAP_ENV,
     build,
     element_from_one_line,
     identity_matrix,
@@ -123,6 +124,17 @@ def test_enumeration_cap():
     with pytest.raises(GroupTooLarge):
         rs.weyl_elements()
     assert len(build("A", 4).weyl_elements()) == 120
+
+
+def test_cap_holds_after_the_first_enumeration(monkeypatch):
+    rs = build("A", 4)
+    assert len(rs.weyl_elements(cap=200)) == 120
+    with pytest.raises(GroupTooLarge):
+        rs.weyl_elements(cap=10)
+    monkeypatch.setenv(WEYL_CAP_ENV, "100")
+    with pytest.raises(GroupTooLarge):
+        rs.weyl_elements()
+    assert len(rs.weyl_elements(cap=120)) == 120
 
 
 def test_a6_enumerates_past_the_default_cap():

@@ -11,9 +11,11 @@ from fractions import Fraction
 import pytest
 
 from affine_hecke import regions as rg
+from affine_hecke import repn
 from affine_hecke import tableaux as tb
 from affine_hecke.errors import HeckeError
 from affine_hecke.rootsys import build
+from affine_hecke.scalars import ExactScalar
 from affine_hecke.weights import weight
 
 
@@ -70,6 +72,27 @@ def test_reading_tableaux_are_the_chamber_extremes(lam, mu):
     assert tuple(p_max.entries) == ivs.w_max.one_line()
     fillings = tb.enumerate_standard(cfg)
     assert p_min in fillings and p_max in fillings
+
+
+@pytest.mark.parametrize("lam,mu", SHAPES, ids=[f"{l}/{m}" for l, m in SHAPES])
+def test_calibrated_diagonal_is_youngs_seminormal_form(lam, mu):
+    # the q-analogue of Young's seminormal form: on the chamber of a filling,
+    # T_j acts on the diagonal by (q - q^-1)/(1 - q^(-2a)), where a is the
+    # content of the box of j + 1 minus that of the box of j
+    gamma, J = tb.skew_to_region(lam, mu, 0)
+    cfg = tb.region_to_configuration(gamma, J)
+    mod = repn.calibrated_module(cfg.region, backend="exact")
+    index = {w: k for k, w in enumerate(mod.basis)}
+    fillings = tb.enumerate_standard(cfg)
+    assert len(fillings) == mod.dim
+    q = ExactScalar.q_power(1)
+    for filling in fillings:
+        w, axial = tb.filling_to_word(cfg, filling)
+        k = index[w]
+        for j in range(1, cfg.n):
+            a = axial[(j + 1, j)]
+            expected = (q - 1 / q) / (1 - ExactScalar.q_power(-2 * a))
+            assert mod.t_mats[j - 1][k][k] == expected
 
 
 def test_configuration_to_skew_normalises_the_picture():
