@@ -155,16 +155,27 @@ class GroupAlgebraElt:
         }
 
 
-def orbit_sum(rs: RootSystem, lam, cap: int | None = None) -> GroupAlgebraElt:
+def orbit_sum(rs: RootSystem, lam) -> GroupAlgebraElt:
     """Sum of X^mu over the W-orbit of lambda, each orbit element once."""
     lam = vec(lam)
-    orbit = {w.act(lam) for w in rs.weyl_elements(cap)}
+    orbit = {w.act(lam) for w in rs.weyl_elements()}
     return GroupAlgebraElt(rs, {mu: Fraction(1) for mu in orbit})
 
 
 # ---------------------------------------------------------------------------
 # the affine Hecke algebra
 # ---------------------------------------------------------------------------
+
+def bernstein_string(lam, alpha, alpha_check) -> tuple[int, list]:
+    """(sign, exponents) with S = sign * sum of X^mu over the exponents, for
+    the string S of the cross relation of X^lam and T_i (alpha = a_i and
+    alpha_check its coroot; see the module docstring)."""
+    m = int(vec_dot(lam, alpha_check))
+    if m >= 0:
+        return 1, [vec_sub(lam, tuple(k * a for a in alpha)) for k in range(m)]
+    return -1, [vec_add(lam, tuple(j * a for a in alpha))
+                for j in range(1, -m + 1)]
+
 
 class AlgebraElt:
     """Combination of T_w X^lambda terms with exact scalar coefficients."""
@@ -281,13 +292,11 @@ class AlgebraElt:
             put(ws, s_lam, c)
             if ws.length() < w.length():
                 put(w, s_lam, c * qm)
-            m = int(vec_dot(lam, alpha_check))
-            if m >= 0:
-                for k in range(m):
-                    put(w, vec_sub(lam, tuple(k * a for a in alpha)), c * qm)
-            else:
-                for j in range(1, -m + 1):
-                    put(w, vec_add(lam, tuple(j * a for a in alpha)), -(c * qm))
+            sign, string = bernstein_string(lam, alpha, alpha_check)
+            if string:
+                cq = c * qm if sign > 0 else -(c * qm)
+                for mu in string:
+                    put(w, mu, cq)
         return AlgebraElt(rs, out)
 
     def __mul__(self, other: "AlgebraElt") -> "AlgebraElt":
@@ -344,12 +353,12 @@ def is_central(z: AlgebraElt) -> bool:
 # the Pittie-Steinberg basis of C[X] over the center
 # ---------------------------------------------------------------------------
 
-def steinberg_basis(rs: RootSystem, cap: int | None = None) -> dict:
+def steinberg_basis(rs: RootSystem) -> dict:
     """lambda_w = w^{-1}(sum of omega_i over left descents of w), per w."""
     if rs.lattice_mode != "P":
         raise WrongLattice("the basis is defined over the full weight lattice")
     out = {}
-    for w in rs.weyl_elements(cap):
+    for w in rs.weyl_elements():
         total = (Fraction(0),) * rs.dim
         for i in range(rs.rank):
             # left descent: l(s_i w) < l(w), i.e. w^{-1}(alpha_i) < 0
@@ -386,21 +395,21 @@ def group_determinant(rs: RootSystem, rows) -> GroupAlgebraElt:
     return level.get(full, GroupAlgebraElt.zero(rs))
 
 
-def _steinberg_matrix(rs: RootSystem, cap: int | None):
-    elements = rs.weyl_elements(cap)
+def _steinberg_matrix(rs: RootSystem):
+    elements = rs.weyl_elements()
     if len(elements) > 12:
         raise GroupTooLarge(
             f"determinant over {len(elements)} x {len(elements)} monomials")
-    basis = steinberg_basis(rs, cap)
+    basis = steinberg_basis(rs)
     rows = [
         [GroupAlgebraElt.monomial(rs, z.act(basis[y])) for y in elements]
         for z in elements]
     return elements, basis, rows
 
 
-def steinberg_determinant(rs: RootSystem, cap: int | None = None):
+def steinberg_determinant(rs: RootSystem):
     """det(z X^{lambda_y}) and whether it is a unit multiple of the root product."""
-    _, _, rows = _steinberg_matrix(rs, cap)
+    _, _, rows = _steinberg_matrix(rs)
     det = group_determinant(rs, rows)
     target = GroupAlgebraElt.one(rs)
     factor_power = len(rows) // 2
@@ -418,10 +427,10 @@ def steinberg_determinant(rs: RootSystem, cap: int | None = None):
     return det, verified
 
 
-def decompose_over_center(f: GroupAlgebraElt, cap: int | None = None) -> dict:
+def decompose_over_center(f: GroupAlgebraElt) -> dict:
     """Invariant coefficients a_w with sum a_w X^{lambda_w} = f, via Cramer."""
     rs = f.rs
-    elements, basis, rows = _steinberg_matrix(rs, cap)
+    elements, basis, rows = _steinberg_matrix(rs)
     denom = group_determinant(rs, rows)
     images = [f.weyl_image(z) for z in elements]
     out = {}

@@ -85,14 +85,14 @@ class ChamberSet:
         return out
 
 
-def chamber_set(t: Weight, J, cap: int | None = None) -> ChamberSet:
+def chamber_set(t: Weight, J) -> ChamberSet:
     """Brute-force filter of W; the ground truth everything else tests against."""
     J = frozenset(tuple(a) for a in J)
     Z, P = t.zp_sets()
     if not J <= P:
         raise JNotSubsetOfP(f"J has {len(J - P)} roots outside P(t)")
     hits = []
-    for w in t.rs.weyl_elements(cap):
+    for w in t.rs.weyl_elements():
         inv = w.inversion_set()
         if inv & Z:
             continue
@@ -142,11 +142,11 @@ def chamber_set_pruned(t: Weight, J) -> ChamberSet:
                                   if w.inversion_set() & P == J))
 
 
-def fibers(t: Weight, cap: int | None = None) -> dict:
+def fibers(t: Weight) -> dict:
     """All nonempty F^(t,J) keyed by J, partitioning {w : R(w) cap Z = empty}."""
     Z, P = t.zp_sets()
     buckets: dict[frozenset, list[WeylElt]] = {}
-    for w in t.rs.weyl_elements(cap):
+    for w in t.rs.weyl_elements():
         inv = w.inversion_set()
         if inv & Z:
             continue

@@ -20,19 +20,19 @@ generalized weight space).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Q_MINUS, AlgebraElt
+from .algebra import Q_MINUS, AlgebraElt, bernstein_string
 from .errors import (EmptyRegion, MixedCosetExact, NotRegular, NotSkew,
                      NumericIllConditioned, TooLarge, UndefinedTau,
                      UnsupportedType)
 from .regions import LocalRegion, chamber_set_pruned, is_skew
 from .rootsys import (RootSystem, WeylElt, _rank_nullspace, _solve_in_span,
-                      mat_transpose, solve_linear, vec, vec_dot, vec_neg,
-                      vec_sub)
+                      mat_transpose, solve_linear, vec, vec_dot, vec_neg)
 from .scalars import ExactScalar, near
 from .weights import TRIVIAL_TAG, Weight
 
@@ -424,11 +424,11 @@ def direct_sum(a: ModuleRep, b: ModuleRep) -> ModuleRep:
 _PRINCIPAL_CACHE: dict = {}
 
 
-def _principal_terms(rs: RootSystem, cap: int | None = None):
+def _principal_terms(rs: RootSystem):
     cached = _PRINCIPAL_CACHE.get(rs.key)
     if cached is not None:
         return cached
-    basis = rs.weyl_elements(cap)
+    basis = rs.weyl_elements()
     index = {w: k for k, w in enumerate(basis)}
     t_terms, x_terms = [], []
     for w in basis:
@@ -447,8 +447,7 @@ def _principal_terms(rs: RootSystem, cap: int | None = None):
     return t_terms, x_terms
 
 
-def principal_series(t: Weight, backend: str = "auto",
-                     cap: int | None = None) -> ModuleRep:
+def principal_series(t: Weight, backend: str = "auto") -> ModuleRep:
     """The module induced from the one-dimensional X-module at t.
 
     The basis is the Weyl group in length order, so the X matrices come out
@@ -457,10 +456,10 @@ def principal_series(t: Weight, backend: str = "auto",
     evaluating the X part at t.
     """
     rs = t.rs
-    basis = rs.weyl_elements(cap)
+    basis = rs.weyl_elements()
     ops = _scalars(t, backend)
     d = len(basis)
-    t_terms, x_terms = _principal_terms(rs, cap)
+    t_terms, x_terms = _principal_terms(rs)
 
     t_cols = {i: [] for i in range(rs.rank)}
     x_cols = {k: [] for k in range(len(rs.lattice_generators()))}
@@ -551,17 +550,13 @@ def verify_relations(rep: ModuleRep) -> dict:
             try:
                 lhs = _mat_mul(rep.x_mats[k], rep.t_mats[i], ops)
                 rhs = _mat_mul(rep.t_mats[i], rep.x_power(s.act(g)), ops)
-                m = int(vec_dot(g, alpha_check))
+                sign, terms = bernstein_string(g, alpha, alpha_check)
                 string = None
-                terms = ([vec_sub(g, vec([p * a for a in alpha]))
-                          for p in range(m)] if m >= 0 else
-                         [vec_sub(g, vec([jj * a for a in alpha]))
-                          for jj in range(-1, m - 1, -1)])
                 for mu in terms:
                     xm = rep.x_power(mu)
                     string = xm if string is None else _mat_add(string, xm)
                 if string is not None:
-                    sign_qm = qm if m >= 0 else -qm
+                    sign_qm = qm if sign > 0 else -qm
                     rhs = _mat_add(rhs, _mat_scale(sign_qm, string))
                 if not _mat_eq(lhs, rhs, ops):
                     failures.append(label)
@@ -683,7 +678,11 @@ def _weight_groups(rep: ModuleRep, tol: float):
         return _character_groups(keys, ops.exact, tol), keys
     import numpy as np
     xs = np.array(rep.x_mats, dtype=complex)
-    coeffs = [0.5 + (((k + 1) * _GOLDEN) % 1.0) for k in range(len(xs))]
+    # 1 and the square roots of distinct primes are linearly independent over
+    # Q(i), so joint characters that differ by Gaussian integers (entries in
+    # {1, i, -1, -i} at ell = 4) cannot share an eigenvalue of the combination
+    coeffs = [0.5 + math.sqrt(p) % 1.0
+              for p in itertools.islice(_primes(), len(xs))]
     vecs = np.linalg.eig(sum(c * x for c, x in zip(coeffs, xs)))[1].T
     keys = [tuple(complex(v.conj() @ (x @ v) / (v.conj() @ v))
                   for x in xs) for v in vecs]
@@ -695,6 +694,14 @@ def _weight_groups(rep: ModuleRep, tol: float):
             "eigenvectors of distinct clusters are parallel: the X matrices "
             "have a Jordan block that the eigensolver split")
     return groups, keys
+
+
+def _primes():
+    found = []
+    for p in itertools.count(2):
+        if all(p % f for f in found):
+            found.append(p)
+            yield p
 
 
 def _character_groups(keys, exact: bool, tol: float) -> list:
@@ -841,14 +848,12 @@ def tau_basis(rep: ModuleRep) -> dict:
 
 
 def spherical(t: Weight, backend: str = "auto",
-              expansion: str | bool = "auto",
               rep: ModuleRep | None = None) -> SphericalCheck:
     """The q-symmetrizing vector of the principal series and its checks.
 
-    expansion=True forces the closed-form comparison (NotRegular if the
-    weight is not regular); "auto" runs it exactly when it applies. A given
-    rep is used as the principal series; backend must then be "auto" or
-    its backend.
+    The closed-form comparison runs exactly when the weight is regular;
+    otherwise expansion_check is None. A given rep is used as the principal
+    series; backend must then be "auto" or its backend.
     """
     if rep is None:
         rep = principal_series(t, backend=backend)
@@ -864,16 +869,8 @@ def spherical(t: Weight, backend: str = "auto",
         for m in rep.t_mats)
     generates, criterion = _generation_criterion(t)
 
-    if expansion == "auto":
-        run_expansion = t.is_regular()
-    elif expansion:
-        if not t.is_regular():
-            raise NotRegular("the closed form needs a regular weight")
-        run_expansion = True
-    else:
-        run_expansion = False
     expansion_check = None
-    if run_expansion:
+    if t.is_regular():
         # closed form: the coefficient of the intertwiner basis vector at z is
         # q^len(w0) times the product of (q^-1 - q t(X^a))/(1 - t(X^a)) over
         # the inversions of w0 z (the same factors as the generation test)
@@ -915,8 +912,8 @@ def commutant_dim(rep: ModuleRep, method: str = "auto") -> int:
     components of the T graph exactly; other exact triangular modules are
     solved at q0, and numeric ones read a guarded singular value count.
     Without triangular X, auto runs a dense numeric solve (dim <= 24).
-    method="exact" runs dense exact elimination (dim <= 200), the
-    independent check on the block route.
+    method="exact" runs dense exact elimination (exact modules only,
+    dim <= 200), the independent check on the block route.
     """
     if method not in ("auto", "exact"):
         raise ValueError(
@@ -929,6 +926,9 @@ def commutant_dim(rep: ModuleRep, method: str = "auto") -> int:
     if d > 200:
         raise TooLarge(f"commutant solve needs dim <= 200, got {d}")
     if method == "exact":
+        if not rep._ops.exact:
+            raise ValueError(f"method 'exact' needs an exact module, not a "
+                             f"{rep.backend!r} one")
         return _exact_commutant(rep)
     return _numeric_commutant(rep, RANK_TOL)
 

@@ -36,9 +36,8 @@ F1 = Fraction(1)
 F2 = Fraction(2)
 
 
-def weyl_cap(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
+def weyl_cap() -> int:
+    """The Weyl enumeration cap: AFFINE_HECKE_WEYL_CAP, else DEFAULT_WEYL_CAP."""
     env = os.environ.get(WEYL_CAP_ENV)
     return int(env) if env else DEFAULT_WEYL_CAP
 
@@ -458,14 +457,16 @@ class RootSystem:
     def weyl_order(self) -> int:
         return _KNOWN_ORDERS[self.type_label](self.rank)
 
-    def weyl_elements(self, cap: int | None = None) -> tuple["WeylElt", ...]:
-        """Every Weyl element exactly once, sorted by (length, reduced word)."""
-        limit = weyl_cap(cap)
+    def weyl_elements(self) -> tuple["WeylElt", ...]:
+        """Every Weyl element exactly once, sorted by (length, reduced word).
+        Raises GroupTooLarge when |W| exceeds weyl_cap(), which the
+        AFFINE_HECKE_WEYL_CAP environment variable sets."""
+        limit = weyl_cap()
         if self.weyl_order() > limit:
             raise GroupTooLarge(
                 f"|W| = {self.weyl_order()} exceeds cap {limit}")
         if self._all_elements is None:
-            elements = self.subgroup(self._simple_reflections, limit)
+            elements = self.subgroup(self._simple_reflections)
             if len(elements) != self.weyl_order():
                 raise AssertionError("Weyl enumeration count mismatch")
             self._all_elements = elements
@@ -480,9 +481,11 @@ class RootSystem:
                 return w
             w = w * self.simple_reflection(i)
 
-    def subgroup(self, generators, cap: int | None = None) -> tuple["WeylElt", ...]:
-        """Enumerate the subgroup generated by the given elements."""
-        limit = weyl_cap(cap)
+    def subgroup(self, generators) -> tuple["WeylElt", ...]:
+        """Enumerate the subgroup generated by the given elements.  Raises
+        GroupTooLarge past weyl_cap() elements, which the
+        AFFINE_HECKE_WEYL_CAP environment variable sets."""
+        limit = weyl_cap()
         seen = {self.identity()}
         frontier = [self.identity()]
         gens = list(generators)

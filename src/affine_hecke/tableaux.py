@@ -192,9 +192,7 @@ def _coerce_J(J) -> frozenset:
     return frozenset(tuple(Fraction(c) for c in a) for a in J)
 
 
-def _enum_cap(mode: str, cap) -> int:
-    if cap is not None:
-        return int(cap)
+def _enum_cap(mode: str) -> int:
     env = os.environ.get(ENUM_CAP_ENV)
     if env is not None:
         return int(env)
@@ -652,10 +650,11 @@ def _has_order_cycle(indices, edges) -> bool:
     return seen != len(indices)
 
 
-def enumerate_standard(config: PlacedConfiguration, cap=None):
+def enumerate_standard(config: PlacedConfiguration):
     """All standard fillings, in increasing lexicographic order of their
-    entry tuples.  Guarded by a size cap (override with the cap argument or
-    the AFFINE_HECKE_ENUM_CAP environment variable).
+    entry tuples.  Raises TooLarge past the enumeration cap, which the
+    AFFINE_HECKE_ENUM_CAP environment variable sets (FINITE_ENUM_CAP, or
+    TYPEC_ENUM_CAP in type C, when it is unset).
 
     Fillings are the linear extensions of the order edges: values are dealt
     in increasing order, each to a box whose predecessors all hold smaller
@@ -663,7 +662,7 @@ def enumerate_standard(config: PlacedConfiguration, cap=None):
     the mirror box -b, which takes that box out of play.  The edge set is
     closed under (u, v) -> (-v, -u), so the forced values 1..n respect it.
     """
-    limit = _enum_cap(config.mode, cap)
+    limit = _enum_cap(config.mode)
     if config.n > limit:
         raise TooLarge(f"{config.n} boxes exceeds the enumeration cap {limit}")
     signed = config.mode == "typec"
@@ -785,11 +784,11 @@ def filling_to_word(config: PlacedConfiguration, filling):
     return w, axial
 
 
-def verify_bijection(config: PlacedConfiguration, region=None, cap=None) -> BijectionReport:
+def verify_bijection(config: PlacedConfiguration, region=None) -> BijectionReport:
     """Compare standard fillings with the chamber set, as sets of one-line
     words.  Never raises on mismatch: the report carries a witness."""
     try:
-        fillings = enumerate_standard(config, cap=cap)
+        fillings = enumerate_standard(config)
         words = []
         for f in fillings:
             w, _ = filling_to_word(config, f)

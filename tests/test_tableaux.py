@@ -13,7 +13,7 @@ import pytest
 from affine_hecke import regions as rg
 from affine_hecke import repn
 from affine_hecke import tableaux as tb
-from affine_hecke.errors import HeckeError
+from affine_hecke.errors import HeckeError, TooLarge
 from affine_hecke.rootsys import build
 from affine_hecke.scalars import ExactScalar
 from affine_hecke.weights import weight
@@ -150,3 +150,26 @@ def test_periodic_fillings_match_chambers(ell):
             report = tb.verify_bijection(cfg)
             assert report.ok, (gamma, J, report.witness)
     assert (accepted, rejected) == {3: (31, 4), 4: (50, 6), 5: (77, 8)}[ell]
+
+
+def one_row(n):
+    return tb.region_to_configuration(*tb.skew_to_region((n,)))
+
+
+def half_chain(n):
+    t = weight(build("C", n), tuple(H + k for k in range(n)))
+    return tb.typec_configuration(t, (), "half")
+
+
+def test_the_enumeration_cap_is_set_by_its_environment_variable(monkeypatch):
+    monkeypatch.delenv(tb.ENUM_CAP_ENV, raising=False)
+    assert len(tb.enumerate_standard(one_row(tb.FINITE_ENUM_CAP))) == 1
+    with pytest.raises(TooLarge):
+        tb.enumerate_standard(one_row(tb.FINITE_ENUM_CAP + 1))
+    assert len(tb.enumerate_standard(half_chain(tb.TYPEC_ENUM_CAP))) == 1
+    with pytest.raises(TooLarge):
+        tb.enumerate_standard(half_chain(tb.TYPEC_ENUM_CAP + 1))
+    monkeypatch.setenv(tb.ENUM_CAP_ENV, "2")
+    assert len(tb.enumerate_standard(one_row(2))) == 1
+    with pytest.raises(TooLarge):
+        tb.enumerate_standard(one_row(3))
