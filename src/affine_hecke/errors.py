@@ -69,6 +69,10 @@ class TooLarge(HeckeError):
     pass
 
 
+class BadCap(HeckeError):
+    """A size cap setting that is not a positive integer."""
+
+
 class BadEll(HeckeError):
     pass
 

@@ -1,20 +1,27 @@
 """Finite dimensional modules: principal series, intertwiners, calibrated bases.
 
-Matrices are tuples of tuples over the scalars object each module holds, which
-gives its backend, q0, tolerance, q-powers and weight character. Exact scalars
-are rational functions in q, available whenever every root evaluates to a
-plain q-power under the weight (in particular for untagged generic weights; a
-common coset tag on all coordinates is fine in type A, where it scales each
-X-generator matrix by a fixed formal unit that cancels from every defining
-relation, so the stored entries simply drop it). Weights that put a coset tag
-on some root, and root-of-unity weights, take numeric scalars: complex numbers
-at q0 (exp(i pi / ell) at a root of unity), with unit values for the tags.
+Each generator matrix is stored as sparse columns: column k is a {row: entry}
+dict of the nonzero entries of the image of basis vector k. In both bases
+built here a T column has at most two entries. The dense row tuples t_mats and
+x_mats are a view, built once from the columns, for numpy, describe() and the
+dense intertwiner helpers.
+
+Entries live over the scalars object each module holds, which gives its
+backend, q0, tolerance (also what counts as a zero entry), q-powers and weight
+character. Exact scalars are rational functions in q, available whenever every
+root evaluates to a plain q-power under the weight (in particular for untagged
+generic weights; a common coset tag on all coordinates is fine in type A,
+where it scales each X-generator matrix by a fixed formal unit that cancels
+from every defining relation, so the stored entries simply drop it). Weights
+that put a coset tag on some root, and root-of-unity weights, take numeric
+scalars: complex numbers at q0 (exp(i pi / ell) at a root of unity), with unit
+values for the tags.
 
 Verification is built in rather than trusted: every constructed module stores
-a relation report, weight space data is recomputed from the matrices, and
-irreducibility is measured as commutant dimension 1, solved block by block in
-a basis of generalized weight vectors (a commuting matrix keeps each
-generalized weight space).
+a relation report, checked column by column, weight space data is recomputed
+from the matrices, and irreducibility is measured as commutant dimension 1,
+solved block by block in a basis of generalized weight vectors (a commuting
+matrix keeps each generalized weight space).
 """
 
 from __future__ import annotations
@@ -27,8 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Q_MINUS, AlgebraElt, bernstein_string
-from .errors import (EmptyRegion, MixedCosetExact, NotRegular, NotSkew,
-                     NumericIllConditioned, TooLarge, UndefinedTau,
+from .errors import (DivisionByZero, EmptyRegion, MixedCosetExact, NotRegular,
+                     NotSkew, NumericIllConditioned, TooLarge, UndefinedTau,
                      UnsupportedType)
 from .regions import LocalRegion, chamber_set_pruned, is_skew
 from .rootsys import (RootSystem, WeylElt, _rank_nullspace, _solve_in_span,
@@ -119,8 +126,8 @@ class _NumericScalars:
     def one():
         return 1 + 0j
 
-    # plain methods reading the constant: the hottest calls of _mat_mul, and
-    # self.tol or static methods made relation checks 10-25 % slower
+    # plain methods reading the constant: the hottest calls of the column
+    # kernel, and self.tol or static methods made relation checks slower
     def is_zero(self, x) -> bool:
         return abs(x) <= NUMERIC_TOL
 
@@ -171,17 +178,78 @@ def _char_is_one(t: Weight, mu) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# generic matrix helpers (tuple-of-tuples, exact or complex entries)
+# sparse columns: the stored form of every generator matrix
+# ---------------------------------------------------------------------------
+
+def _sparse_columns(cols, d: int, ops) -> tuple:
+    """d columns ({row: entry} dicts) with the entries ops counts as zero
+    dropped."""
+    if len(cols) != d:
+        raise ValueError("matrices must be square of the basis size")
+    is_zero = ops.is_zero
+    return tuple({r: x for r, x in col.items() if not is_zero(x)}
+                 for col in cols)
+
+
+def _dense_to_columns(m, d: int) -> list:
+    """The columns of a d x d matrix given by rows, zeros included."""
+    if len(m) != d or any(len(row) != d for row in m):
+        raise ValueError("matrices must be square of the basis size")
+    return [{r: m[r][c] for r in range(d)} for c in range(d)]
+
+
+def _columns_to_dense(cols, ops) -> tuple:
+    zero = ops.zero()
+    rows = [[zero] * len(cols) for _ in cols]
+    for c, col in enumerate(cols):
+        for r, x in col.items():
+            rows[r][c] = x
+    return tuple(map(tuple, rows))
+
+
+def _apply(cols, v: dict, ops) -> dict:
+    """A v for a column matrix A and a sparse vector v, as a fresh dict."""
+    out = {}
+    is_zero = ops.is_zero
+    for k, x in v.items():
+        if is_zero(x):
+            continue
+        for r, a in cols[k].items():
+            y = a * x
+            out[r] = out[r] + y if r in out else y
+    return out
+
+
+def _add_scaled(y: dict, c, x: dict) -> dict:
+    """y + c x for sparse vectors, updating y."""
+    for r, v in x.items():
+        v = c * v
+        y[r] = y[r] + v if r in y else v
+    return y
+
+
+def _sparse_eq(u: dict, v: dict, ops) -> bool:
+    zero = ops.zero()
+    return all(ops.eq(u.get(r, zero), v.get(r, zero))
+               for r in u.keys() | v.keys())
+
+
+def _is_upper(cols) -> bool:
+    return all(r <= c for c, col in enumerate(cols) for r in col)
+
+
+def _is_diagonal(cols) -> bool:
+    return all(r == c for c, col in enumerate(cols) for r in col)
+
+
+# ---------------------------------------------------------------------------
+# dense matrix helpers (tuple-of-tuples, exact or complex entries)
 # ---------------------------------------------------------------------------
 
 def _mat_id(n: int, ops):
     one, zero = ops.one(), ops.zero()
     return tuple(tuple(one if i == j else zero for j in range(n))
                  for i in range(n))
-
-
-def _mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def _mat_sub(a, b):
@@ -211,19 +279,6 @@ def _mat_mul(a, b, ops):
     return tuple(tuple(row) for row in out)
 
 
-def _mat_eq(a, b, ops) -> bool:
-    return all(ops.eq(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def _mat_is_upper(a, ops) -> bool:
-    return all(ops.is_zero(a[i][j]) for i in range(len(a)) for j in range(i))
-
-
-def _mat_is_lower(a, ops) -> bool:
-    return all(ops.is_zero(a[i][j])
-               for i in range(len(a)) for j in range(i + 1, len(a)))
-
-
 def _mat_power(a, k: int, ops):
     out = _mat_id(len(a), ops)
     for _ in range(k):
@@ -245,25 +300,23 @@ def _columns(vectors):
     return tuple(tuple(v[i] for v in vectors) for i in range(d))
 
 
-def _mat_vec(a, x, ops):
-    zero = ops.zero()
-    out = []
-    for row in a:
-        acc = zero
-        for c, v in zip(row, x):
-            if not ops.is_zero(c) and not ops.is_zero(v):
-                acc = acc + c * v
-        out.append(acc)
-    return tuple(out)
+# (root system key, mu) -> integer lattice coordinates of mu, None off the
+# lattice; shared by every module over that root system
+_COORDS_CACHE: dict = {}
 
 
 def _lattice_coords(rs: RootSystem, mu):
     """Integer coordinates of mu over the lattice generators."""
-    gens = rs.lattice_generators()
-    coeffs = solve_linear(mat_transpose(gens), vec(mu))
-    if coeffs is None or any(c.denominator != 1 for c in coeffs):
+    key = (rs.key, vec(mu))
+    if key not in _COORDS_CACHE:
+        coeffs = solve_linear(mat_transpose(rs.lattice_generators()), key[1])
+        _COORDS_CACHE[key] = (
+            None if coeffs is None or any(c.denominator != 1 for c in coeffs)
+            else tuple(int(c) for c in coeffs))
+    coords = _COORDS_CACHE[key]
+    if coords is None:
         raise ValueError(f"{mu} is not in the lattice")
-    return tuple(int(c) for c in coeffs)
+    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -273,37 +326,37 @@ def _lattice_coords(rs: RootSystem, mu):
 class ModuleRep:
     """Generator matrices on a labeled basis, with the relation report attached.
 
-    t_mats[i] is the action of the i-th standard generator, x_mats[k] the
-    action of X^g for the k-th lattice generator g. Matrices are immutable;
-    the caches only memoize products of them.
+    t_cols[i] is the action of the i-th standard generator, x_cols[k] the
+    action of X^g for the k-th lattice generator g, each a tuple of sparse
+    {row: entry} columns without zero entries. t_mats and x_mats are the same
+    matrices as dense row tuples, built on first use. Matrices are immutable;
+    the caches only hold views and products of them.
     """
 
-    __slots__ = ("rs", "kind", "basis", "basis_weights", "t_mats", "x_mats",
-                 "weight", "region", "report", "_ops", "_index",
+    __slots__ = ("rs", "kind", "basis", "basis_weights", "t_cols", "x_cols",
+                 "weight", "region", "report", "_ops", "_index", "_dense",
                  "_xpow_cache", "_xinv_cache", "_gen_basis_cache")
 
-    def __init__(self, rs: RootSystem, kind: str, basis, t_mats, x_mats,
+    def __init__(self, rs: RootSystem, kind: str, basis, t_cols, x_cols,
                  scalars, weight: Weight | None = None, basis_weights=None,
                  region: LocalRegion | None = None):
         self.rs = rs
         self.kind = kind
         self.basis = tuple(basis)
         d = len(self.basis)
-        self.t_mats = tuple(tuple(tuple(r) for r in m) for m in t_mats)
-        self.x_mats = tuple(tuple(tuple(r) for r in m) for m in x_mats)
-        if len(self.t_mats) != rs.rank:
+        if len(t_cols) != rs.rank:
             raise ValueError("one T matrix per simple root")
-        if len(self.x_mats) != len(rs.lattice_generators()):
+        if len(x_cols) != len(rs.lattice_generators()):
             raise ValueError("one X matrix per lattice generator")
-        for m in self.t_mats + self.x_mats:
-            if len(m) != d or any(len(r) != d for r in m):
-                raise ValueError("matrices must be square of the basis size")
+        self.t_cols = tuple(_sparse_columns(m, d, scalars) for m in t_cols)
+        self.x_cols = tuple(_sparse_columns(m, d, scalars) for m in x_cols)
         self.weight = weight
         self.basis_weights = tuple(basis_weights) if basis_weights else None
         self.region = region
         self.report = None
         self._ops = scalars
         self._index = {w: k for k, w in enumerate(self.basis)}
+        self._dense = None
         self._xpow_cache = {}
         self._xinv_cache = {}
         self._gen_basis_cache = {}
@@ -312,6 +365,7 @@ class ModuleRep:
     def from_matrices(cls, rs: RootSystem, basis, t_mats, x_mats, *,
                       weight=None, basis_weights=None, backend="exact",
                       q0=None, kind="custom", verify=True):
+        """A module from dense matrices, given as sequences of rows."""
         _check_backend(backend, ("exact", "numeric"))
         if backend == "numeric":
             scalars = _NumericScalars(weight, q0)
@@ -319,8 +373,11 @@ class ModuleRep:
             scalars = _ExactScalars(weight)
         else:
             raise ValueError("q0 applies to the numeric backend only")
-        rep = cls(rs, kind, basis, t_mats, x_mats, scalars, weight=weight,
-                  basis_weights=basis_weights)
+        basis = tuple(basis)
+        rep = cls(rs, kind, basis,
+                  [_dense_to_columns(m, len(basis)) for m in t_mats],
+                  [_dense_to_columns(m, len(basis)) for m in x_mats],
+                  scalars, weight=weight, basis_weights=basis_weights)
         if verify:
             rep.report = verify_relations(rep)
         return rep
@@ -337,27 +394,48 @@ class ModuleRep:
     def q0(self) -> complex | None:
         return self._ops.q0
 
-    def x_power(self, mu):
-        """Matrix of X^mu, assembled from cached generator powers."""
+    def _dense_view(self):
+        if self._dense is None:
+            self._dense = tuple(
+                tuple(_columns_to_dense(m, self._ops) for m in mats)
+                for mats in (self.t_cols, self.x_cols))
+        return self._dense
+
+    @property
+    def t_mats(self) -> tuple:
+        return self._dense_view()[0]
+
+    @property
+    def x_mats(self) -> tuple:
+        return self._dense_view()[1]
+
+    def _x_power_columns(self, mu) -> tuple:
+        """Columns of X^mu, the product of generator powers in lattice
+        coordinate order; computed once per mu."""
         mu = vec(mu)
-        cached = self._xpow_cache.get(mu)
-        if cached is not None:
-            return cached
-        ops = self._ops
-        out = _mat_id(self.dim, ops)
-        for k, c in enumerate(_lattice_coords(self.rs, mu)):
-            if c == 0:
-                continue
-            base = self.x_mats[k] if c > 0 else self._x_inverse(k)
-            for _ in range(abs(c)):
-                out = _mat_mul(out, base, ops)
-        self._xpow_cache[mu] = out
-        return out
+        cols = self._xpow_cache.get(mu)
+        if cols is None:
+            ops = self._ops
+            for k, c in enumerate(_lattice_coords(self.rs, mu)):
+                base = self.x_cols[k] if c > 0 else self._x_inverse(k)
+                for _ in range(abs(c)):
+                    cols = base if cols is None else tuple(
+                        _apply(cols, col, ops) for col in base)
+            if cols is None:
+                cols = tuple({k: ops.one()} for k in range(self.dim))
+            self._xpow_cache[mu] = cols
+        return cols
+
+    def x_power(self, mu):
+        """Dense matrix of X^mu."""
+        return _columns_to_dense(self._x_power_columns(mu), self._ops)
 
     def _x_inverse(self, k: int):
         inv = self._xinv_cache.get(k)
         if inv is None:
             inv = _mat_inverse(self.x_mats[k], self._ops)
+            inv = _sparse_columns(_dense_to_columns(inv, self.dim), self.dim,
+                                  self._ops)
             self._xinv_cache[k] = inv
         return inv
 
@@ -396,23 +474,20 @@ def direct_sum(a: ModuleRep, b: ModuleRep) -> ModuleRep:
     if a.rs.key != b.rs.key or (a.backend, a.q0) != (b.backend, b.q0):
         raise ValueError("summands must share the root system, the backend "
                          "and q0")
-    ops = a._ops
-    zero = ops.zero()
+    shift = a.dim
 
     def block(m1, m2):
-        d1, d2 = len(m1), len(m2)
-        top = [tuple(row) + (zero,) * d2 for row in m1]
-        bot = [(zero,) * d1 + tuple(row) for row in m2]
-        return tuple(top + bot)
+        return m1 + tuple({r + shift: x for r, x in col.items()} for col in m2)
 
     weights = None
     if a.basis_weights and b.basis_weights:
         weights = a.basis_weights + b.basis_weights
-    return ModuleRep.from_matrices(
-        a.rs, a.basis + b.basis,
-        [block(m1, m2) for m1, m2 in zip(a.t_mats, b.t_mats)],
-        [block(m1, m2) for m1, m2 in zip(a.x_mats, b.x_mats)],
-        basis_weights=weights, backend=a.backend, q0=a.q0, kind="direct_sum")
+    rep = ModuleRep(a.rs, "direct_sum", a.basis + b.basis,
+                    [block(m1, m2) for m1, m2 in zip(a.t_cols, b.t_cols)],
+                    [block(m1, m2) for m1, m2 in zip(a.x_cols, b.x_cols)],
+                    a._ops, basis_weights=weights)
+    rep.report = verify_relations(rep)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -425,26 +500,32 @@ _PRINCIPAL_CACHE: dict = {}
 
 
 def _principal_terms(rs: RootSystem):
+    """(t_terms, x_terms, coeffs, exponents): t_terms[w][i] lists (row, c)
+    for T_i T_w and x_terms[w][k] lists (row, e, c) for X^g T_w, where c
+    indexes the distinct coefficients and e the distinct X exponents."""
     cached = _PRINCIPAL_CACHE.get(rs.key)
     if cached is not None:
         return cached
     basis = rs.weyl_elements()
     index = {w: k for k, w in enumerate(basis)}
+    coeffs, exponents = {}, {}
     t_terms, x_terms = [], []
     for w in basis:
         tw = AlgebraElt.t_word(rs, w.reduced_word())
         t_terms.append(tuple(
-            tuple((index[u], c)
+            tuple((index[u], coeffs.setdefault(c, len(coeffs)))
                   for (u, _), c in (AlgebraElt.t_generator(rs, i) * tw)
                   .terms.items())
             for i in range(rs.rank)))
         x_terms.append(tuple(
-            tuple((index[u], lam, c)
+            tuple((index[u], exponents.setdefault(lam, len(exponents)),
+                   coeffs.setdefault(c, len(coeffs)))
                   for (u, lam), c in (AlgebraElt.x_monomial(rs, g) * tw)
                   .terms.items())
             for g in rs.lattice_generators()))
-    _PRINCIPAL_CACHE[rs.key] = (t_terms, x_terms)
-    return t_terms, x_terms
+    cached = (t_terms, x_terms, tuple(coeffs), tuple(exponents))
+    _PRINCIPAL_CACHE[rs.key] = cached
+    return cached
 
 
 def principal_series(t: Weight, backend: str = "auto") -> ModuleRep:
@@ -453,31 +534,32 @@ def principal_series(t: Weight, backend: str = "auto") -> ModuleRep:
     The basis is the Weyl group in length order, so the X matrices come out
     upper triangular with the orbit characters on the diagonal. T generators
     act by left multiplication, X generators by normal-forming X^g T_w and
-    evaluating the X part at t.
+    evaluating the X part at t. Each distinct coefficient is lifted to the
+    scalars, and each distinct X exponent evaluated at t, once per build.
     """
     rs = t.rs
     basis = rs.weyl_elements()
     ops = _scalars(t, backend)
-    d = len(basis)
-    t_terms, x_terms = _principal_terms(rs)
+    t_terms, x_terms, coeffs, exponents = _principal_terms(rs)
+    values = [ops.lift(c) for c in coeffs]
+    chars = [ops.ev(lam) for lam in exponents]
+    zero = ops.zero()
 
-    t_cols = {i: [] for i in range(rs.rank)}
-    x_cols = {k: [] for k in range(len(rs.lattice_generators()))}
-    for col in range(d):
-        for i in range(rs.rank):
-            out = [ops.zero()] * d
-            for row, c in t_terms[col][i]:
-                out[row] = out[row] + ops.lift(c)
-            t_cols[i].append(out)
-        for k in range(len(rs.lattice_generators())):
-            out = [ops.zero()] * d
-            for row, lam, c in x_terms[col][k]:
-                out[row] = out[row] + ops.lift(c) * ops.ev(lam)
-            x_cols[k].append(out)
+    t_cols = [[] for _ in range(rs.rank)]
+    x_cols = [[] for _ in rs.lattice_generators()]
+    for col_t, col_x in zip(t_terms, x_terms):
+        for cols, terms in zip(t_cols, col_t):
+            col = {}
+            for row, c in terms:
+                col[row] = col.get(row, zero) + values[c]
+            cols.append(col)
+        for cols, terms in zip(x_cols, col_x):
+            col = {}
+            for row, e, c in terms:
+                col[row] = col.get(row, zero) + values[c] * chars[e]
+            cols.append(col)
 
-    t_mats = [_columns(t_cols[i]) for i in range(rs.rank)]
-    x_mats = [_columns(x_cols[k]) for k in sorted(x_cols)]
-    rep = ModuleRep(rs, "principal_series", basis, t_mats, x_mats, ops,
+    rep = ModuleRep(rs, "principal_series", basis, t_cols, x_cols, ops,
                     weight=t, basis_weights=[t.weyl_act(w) for w in basis])
     rep.report = verify_relations(rep)
     return rep
@@ -493,28 +575,36 @@ def _braid_order(rs: RootSystem, i: int, j: int) -> int:
     return {0: 2, 1: 3, 2: 4, 3: 6}[a[i][j] * a[j][i]]
 
 
-def _alternating_product(a, b, m: int, ops):
-    out = a
-    for k in range(1, m):
-        out = _mat_mul(out, b if k % 2 else a, ops)
-    return out
-
-
 def verify_relations(rep: ModuleRep) -> dict:
-    """Check the defining relations as matrix identities and report failures."""
+    """Check the defining relations and report failures.
+
+    Each identity A = B between words in the generators is checked as
+    A e_k = B e_k for every basis vector e_k, applying the sparse columns of
+    the word right to left; X^mu e_k is a column of the module's cached
+    X-powers.
+    """
     rs = rep.rs
     ops = rep._ops
     d = rep.dim
-    ident = _mat_id(d, ops)
+    one = ops.one()
     qm = ops.qm
+    t, x = rep.t_cols, rep.x_cols
     gens = rs.lattice_generators()
     report = {"backend": rep.backend, "dim": d, "tolerance": ops.tol}
 
+    def holds(lhs, rhs) -> bool:
+        return all(_sparse_eq(lhs(k), rhs(k), ops) for k in range(d))
+
+    def word(mats, k: int) -> dict:
+        v = mats[-1][k]
+        for m in reversed(mats[:-1]):
+            v = _apply(m, v, ops)
+        return v
+
     failures = []
-    for i, m in enumerate(rep.t_mats):
-        lhs = _mat_mul(m, m, ops)
-        rhs = _mat_add(_mat_scale(qm, m), ident)
-        if not _mat_eq(lhs, rhs, ops):
+    for i, m in enumerate(t):
+        if not holds(lambda k: word((m, m), k),
+                     lambda k: _add_scaled({k: one}, qm, m[k])):
             failures.append(f"T_{i + 1}")
     report["quadratic"] = {"checked": rs.rank, "failures": failures}
 
@@ -523,9 +613,9 @@ def verify_relations(rep: ModuleRep) -> dict:
         for j in range(i + 1, rs.rank):
             m = _braid_order(rs, i, j)
             checked += 1
-            lhs = _alternating_product(rep.t_mats[i], rep.t_mats[j], m, ops)
-            rhs = _alternating_product(rep.t_mats[j], rep.t_mats[i], m, ops)
-            if not _mat_eq(lhs, rhs, ops):
+            lhs = [t[(i, j)[p % 2]] for p in range(m)]
+            rhs = [t[(j, i)[p % 2]] for p in range(m)]
+            if not holds(lambda k: word(lhs, k), lambda k: word(rhs, k)):
                 failures.append(f"(T_{i + 1}, T_{j + 1}) order {m}")
     report["braid"] = {"checked": checked, "failures": failures}
 
@@ -533,12 +623,12 @@ def verify_relations(rep: ModuleRep) -> dict:
     for k in range(len(gens)):
         for l in range(k + 1, len(gens)):
             checked += 1
-            ab = _mat_mul(rep.x_mats[k], rep.x_mats[l], ops)
-            ba = _mat_mul(rep.x_mats[l], rep.x_mats[k], ops)
-            if not _mat_eq(ab, ba, ops):
+            if not holds(lambda c: word((x[k], x[l]), c),
+                         lambda c: word((x[l], x[k]), c)):
                 failures.append(f"(X_{k + 1}, X_{l + 1})")
     report["x_commute"] = {"checked": checked, "failures": failures}
 
+    # X^g T_i = T_i X^{s_i g} + sign (q - q^-1) (sum of the Bernstein string)
     failures, checked = [], 0
     for i in range(rs.rank):
         alpha = rs.simple_roots[i]
@@ -548,17 +638,18 @@ def verify_relations(rep: ModuleRep) -> dict:
             checked += 1
             label = f"(T_{i + 1}, X_{k + 1})"
             try:
-                lhs = _mat_mul(rep.x_mats[k], rep.t_mats[i], ops)
-                rhs = _mat_mul(rep.t_mats[i], rep.x_power(s.act(g)), ops)
+                moved = rep._x_power_columns(s.act(g))
                 sign, terms = bernstein_string(g, alpha, alpha_check)
-                string = None
-                for mu in terms:
-                    xm = rep.x_power(mu)
-                    string = xm if string is None else _mat_add(string, xm)
-                if string is not None:
-                    sign_qm = qm if sign > 0 else -qm
-                    rhs = _mat_add(rhs, _mat_scale(sign_qm, string))
-                if not _mat_eq(lhs, rhs, ops):
+                string = [rep._x_power_columns(mu) for mu in terms]
+                sign_qm = qm if sign > 0 else -qm
+
+                def rhs(c):
+                    out = _apply(t[i], moved[c], ops)
+                    for cols in string:
+                        _add_scaled(out, sign_qm, cols[c])
+                    return out
+
+                if not holds(lambda c: word((x[k], t[i]), c), rhs):
                     failures.append(label)
             except (ValueError, ZeroDivisionError) as exc:
                 failures.append(f"{label}: {exc}")
@@ -619,7 +710,7 @@ def weight_decomposition(rep: ModuleRep) -> WeightSpaceDecomp:
     ops = rep._ops
     d = rep.dim
     tol = RANK_TOL
-    triangular = all(_mat_is_upper(m, ops) for m in rep.x_mats)
+    triangular = all(map(_is_upper, rep.x_cols))
     if ops.exact and not triangular:
         return weight_decomposition(_specialized_copy(rep))
     groups, keys = _weight_groups(rep, tol)
@@ -673,8 +764,10 @@ def _weight_groups(rep: ModuleRep, tol: float):
     parallel up to rounding, which raises NumericIllConditioned.
     """
     ops = rep._ops
-    if all(_mat_is_upper(m, ops) for m in rep.x_mats):
-        keys = [tuple(m[k][k] for m in rep.x_mats) for k in range(rep.dim)]
+    if all(map(_is_upper, rep.x_cols)):
+        zero = ops.zero()
+        keys = [tuple(m[k].get(k, zero) for m in rep.x_cols)
+                for k in range(rep.dim)]
         return _character_groups(keys, ops.exact, tol), keys
     import numpy as np
     xs = np.array(rep.x_mats, dtype=complex)
@@ -749,11 +842,11 @@ def _specialized_copy(rep: ModuleRep) -> ModuleRep:
     ops = _NumericScalars(rep.weight)
 
     def spec(m):
-        return tuple(tuple(ops.lift(x) for x in row) for row in m)
+        return [{r: ops.lift(x) for r, x in col.items()} for col in m]
 
     return ModuleRep(rep.rs, rep.kind, rep.basis,
-                     [spec(m) for m in rep.t_mats],
-                     [spec(m) for m in rep.x_mats], ops,
+                     [spec(m) for m in rep.t_cols],
+                     [spec(m) for m in rep.x_cols], ops,
                      weight=rep.weight, basis_weights=rep.basis_weights,
                      region=rep.region)
 
@@ -827,13 +920,14 @@ def tau_basis(rep: ModuleRep) -> dict:
         raise NotRegular("the intertwiner basis needs a regular weight")
     rs = rep.rs
     ops = rep._ops
+    zero = ops.zero()
     one = ops.one()
     qm = ops.qm
     vectors: dict[WeylElt, tuple] = {}
     for w in rep.basis:
         word = w.reduced_word()
         if not word:
-            unit = [ops.zero()] * rep.dim
+            unit = [zero] * rep.dim
             unit[rep._index[w]] = one
             vectors[w] = tuple(unit)
             continue
@@ -842,8 +936,9 @@ def tau_basis(rep: ModuleRep) -> dict:
         prev = vectors[u]
         val = ops.ev(u.act_inverse(vec_neg(rs.simple_roots[i])))
         c = qm / (one - val)
-        moved = _mat_vec(rep.t_mats[i], prev, ops)
-        vectors[w] = tuple(x - c * y for x, y in zip(moved, prev))
+        moved = _apply(rep.t_cols[i], dict(enumerate(prev)), ops)
+        vectors[w] = tuple(moved.get(r, zero) - c * y
+                           for r, y in enumerate(prev))
     return vectors
 
 
@@ -864,9 +959,12 @@ def spherical(t: Weight, backend: str = "auto",
     ops = rep._ops
     q = ops.q(1)
     vector = tuple(ops.q(w.length()) for w in rep.basis)
+    zero = ops.zero()
     eigen_pass = all(
-        all(ops.eq(a, q * b) for a, b in zip(_mat_vec(m, vector, ops), vector))
-        for m in rep.t_mats)
+        ops.eq(moved.get(r, zero), q * b)
+        for moved in (_apply(m, dict(enumerate(vector)), ops)
+                      for m in rep.t_cols)
+        for r, b in enumerate(vector))
     generates, criterion = _generation_criterion(t)
 
     expansion_check = None
@@ -937,13 +1035,12 @@ def _block_commutant(rep: ModuleRep, tol: float) -> int | None:
     """The commutant in a basis of generalized weight vectors; None unless
     every X matrix is upper triangular."""
     ops = rep._ops
-    if not all(_mat_is_upper(m, ops) for m in rep.x_mats):
+    if not all(map(_is_upper, rep.x_cols)):
         return None
     groups, keys = _weight_groups(rep, tol)
     if ops.exact:
         # diagonal X: the stored basis is already a weight basis
-        if (len(groups) == rep.dim
-                and all(_mat_is_lower(m, ops) for m in rep.x_mats)):
+        if len(groups) == rep.dim and all(map(_is_diagonal, rep.x_cols)):
             return _t_graph_components(rep)
         return _block_commutant(_specialized_copy(rep), tol)
 
@@ -1026,7 +1123,6 @@ def _t_graph_components(rep: ModuleRep) -> int:
     """Connected components of the graph of nonzero off-diagonal T entries:
     the commutant dimension of a module whose X are diagonal with pairwise
     distinct characters, where commuting matrices are diagonal too."""
-    ops = rep._ops
     d = rep.dim
     parent = list(range(d))
 
@@ -1036,13 +1132,12 @@ def _t_graph_components(rep: ModuleRep) -> int:
             x = parent[x]
         return x
 
-    for m in rep.t_mats:
-        for a in range(d):
-            for b in range(d):
-                if a != b and not ops.is_zero(m[a][b]):
-                    ra, rb = find(a), find(b)
-                    if ra != rb:
-                        parent[ra] = rb
+    for m in rep.t_cols:
+        for b, col in enumerate(m):
+            for a in col:
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[ra] = rb
     return len({find(k) for k in range(d)})
 
 
@@ -1189,35 +1284,34 @@ def calibrated_module(region: LocalRegion, force: bool = False,
     rs = t.rs
     ops = _scalars(t, backend)
     ev = ops.ev
-    d = len(basis)
     index = {w: k for k, w in enumerate(basis)}
     one = ops.one()
     qm = ops.qm
     q_inv = ops.q(-1)
 
-    x_mats = []
-    for g in rs.lattice_generators():
-        x_mats.append(tuple(
-            tuple(ev(w.act_inverse(g)) if r == k else ops.zero()
-                  for r, _ in enumerate(basis))
-            for k, w in enumerate(basis)))
-
-    t_mats = []
+    x_cols = [[{k: ev(w.act_inverse(g))} for k, w in enumerate(basis)]
+              for g in rs.lattice_generators()]
+    t_cols = []
     for i in range(rs.rank):
         s = rs.simple_reflection(i)
         neg_alpha = vec_neg(rs.simple_roots[i])
         cols = []
         for w in basis:
-            col = [ops.zero()] * d
-            diag = qm / (one - ev(w.act_inverse(neg_alpha)))
-            col[index[w]] = diag
+            den = one - ev(w.act_inverse(neg_alpha))
+            if ops.is_zero(den):
+                raise DivisionByZero(
+                    f"T_{i + 1} divides by zero at the chamber "
+                    f"{list(w.reduced_word())}, whose weight takes value 1 on "
+                    f"X^(-alpha_{i + 1})")
+            diag = qm / den
+            col = {index[w]: diag}
             sw = s * w
             if sw in index:
                 col[index[sw]] = q_inv + diag
             cols.append(col)
-        t_mats.append(_columns(cols))
+        t_cols.append(cols)
 
-    rep = ModuleRep(rs, "calibrated", basis, t_mats, x_mats, ops, weight=t,
+    rep = ModuleRep(rs, "calibrated", basis, t_cols, x_cols, ops, weight=t,
                     basis_weights=[t.weyl_act(w) for w in basis],
                     region=region)
     rep.report = verify_relations(rep)

@@ -26,7 +26,7 @@ import os
 from fractions import Fraction
 from math import factorial, lcm
 
-from .errors import GroupTooLarge, UnsupportedType
+from .errors import BadCap, GroupTooLarge, UnsupportedType
 
 DEFAULT_WEYL_CAP = 1152
 WEYL_CAP_ENV = "AFFINE_HECKE_WEYL_CAP"
@@ -36,10 +36,24 @@ F1 = Fraction(1)
 F2 = Fraction(2)
 
 
+def _parse_cap(name: str, raw: str | None, default: int) -> int:
+    """The cap set by the value raw of environment variable name: default
+    when unset or blank, BadCap unless a positive integer."""
+    if raw is None or not raw.strip():
+        return default
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise BadCap(f"{name} must be a positive integer, got {raw!r}")
+    return cap
+
+
 def weyl_cap() -> int:
     """The Weyl enumeration cap: AFFINE_HECKE_WEYL_CAP, else DEFAULT_WEYL_CAP."""
-    env = os.environ.get(WEYL_CAP_ENV)
-    return int(env) if env else DEFAULT_WEYL_CAP
+    return _parse_cap(WEYL_CAP_ENV, os.environ.get(WEYL_CAP_ENV),
+                      DEFAULT_WEYL_CAP)
 
 
 # ---------------------------------------------------------------------------

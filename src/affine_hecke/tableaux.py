@@ -42,7 +42,7 @@ from .errors import (
     TooLarge,
     UnsupportedType,
 )
-from .rootsys import build, element_from_one_line
+from .rootsys import _parse_cap, build, element_from_one_line
 from .weights import Weight, weight
 
 ENUM_CAP_ENV = "AFFINE_HECKE_ENUM_CAP"
@@ -193,10 +193,9 @@ def _coerce_J(J) -> frozenset:
 
 
 def _enum_cap(mode: str) -> int:
-    env = os.environ.get(ENUM_CAP_ENV)
-    if env is not None:
-        return int(env)
-    return TYPEC_ENUM_CAP if mode == "typec" else FINITE_ENUM_CAP
+    return _parse_cap(
+        ENUM_CAP_ENV, os.environ.get(ENUM_CAP_ENV),
+        TYPEC_ENUM_CAP if mode == "typec" else FINITE_ENUM_CAP)
 
 
 def _closure_gate(t: Weight, J: frozenset) -> None:

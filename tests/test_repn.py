@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 
 from affine_hecke import regions as rg
 from affine_hecke import repn
+from affine_hecke import tableaux as tb
+from affine_hecke.algebra import bernstein_string
 from affine_hecke.errors import (
+    DivisionByZero,
     GroupTooLarge,
     MixedCosetExact,
     NotRegular,
@@ -21,7 +24,7 @@ from affine_hecke.errors import (
     UnsupportedType,
 )
 from affine_hecke.rootsys import build, solve_linear, vec_add, vec_neg, vec_scale
-from affine_hecke.scalars import ExactScalar
+from affine_hecke.scalars import ExactScalar, near
 from affine_hecke.weights import Weight, height_character, make_tag, weight
 
 Q = ExactScalar.q_power(1)
@@ -93,6 +96,122 @@ def test_corrupted_generator_is_flagged():
     with pytest.raises(ValueError):
         repn.ModuleRep.from_matrices(
             build("C", 2), good.basis, (bad,), good.x_mats)
+
+
+def dense_failures(rep):
+    """The relation failures of a numeric module found by dense numpy
+    products, as an oracle for the column by column check."""
+    rs = rep.rs
+    ts = [np.array(m, dtype=complex) for m in rep.t_mats]
+    xs = [np.array(m, dtype=complex) for m in rep.x_mats]
+    eye = np.eye(rep.dim)
+    qm = rep._ops.qm
+
+    def same(a, b):
+        return all(near(x, y, repn.NUMERIC_TOL)
+                   for x, y in zip(a.flat, b.flat))
+
+    def x_power(mu):
+        out = eye
+        for x, c in zip(xs, repn._lattice_coords(rs, mu)):
+            out = out @ np.linalg.matrix_power(x, c)
+        return out
+
+    def alternating(a, b, m):
+        out = a
+        for k in range(1, m):
+            out = out @ (b if k % 2 else a)
+        return out
+
+    found = {"quadratic": [f"T_{i + 1}" for i, t in enumerate(ts)
+                           if not same(t @ t, qm * t + eye)],
+             "braid": [], "x_commute": [], "cross": []}
+    for i in range(rs.rank):
+        for j in range(i + 1, rs.rank):
+            m = repn._braid_order(rs, i, j)
+            if not same(alternating(ts[i], ts[j], m),
+                        alternating(ts[j], ts[i], m)):
+                found["braid"].append(f"(T_{i + 1}, T_{j + 1}) order {m}")
+    gens = rs.lattice_generators()
+    for k in range(len(gens)):
+        for l in range(k + 1, len(gens)):
+            if not same(xs[k] @ xs[l], xs[l] @ xs[k]):
+                found["x_commute"].append(f"(X_{k + 1}, X_{l + 1})")
+    for i, alpha in enumerate(rs.simple_roots):
+        s = rs.simple_reflection(i)
+        for k, g in enumerate(gens):
+            sign, terms = bernstein_string(g, alpha, rs.coroot(alpha))
+            rhs = ts[i] @ x_power(s.act(g))
+            for mu in terms:
+                rhs = rhs + (qm if sign > 0 else -qm) * x_power(mu)
+            if not same(xs[k] @ ts[i], rhs):
+                found["cross"].append(f"(T_{i + 1}, X_{k + 1})")
+    return found
+
+
+def perturbed(rep, family, row, col, delta):
+    """rep with delta added to entry (row, col) of the first T or X matrix."""
+    mats = {"t": [list(map(list, m)) for m in rep.t_mats],
+            "x": [list(map(list, m)) for m in rep.x_mats]}
+    mats[family][0][row][col] += delta
+    return repn.ModuleRep.from_matrices(
+        rep.rs, rep.basis, mats["t"], mats["x"], weight=rep.weight,
+        basis_weights=rep.basis_weights, backend=rep.backend,
+        q0=rep.q0)
+
+
+FAMILIES = ("quadratic", "braid", "x_commute", "cross")
+
+
+def three_separate_boxes():
+    """The exact calibrated module of three unlinked boxes, dim 6."""
+    cfg = tb.region_to_configuration(*tb.skew_to_region((3, 2, 1), (2, 1)))
+    return repn.calibrated_module(rg.local_region(cfg.t, cfg.J),
+                                  backend="exact")
+
+
+def tagged_a3_series():
+    """The numeric A3 GL principal series of the weyl_numeric items, dim 24."""
+    t = weight(build("A", 3, lattice_mode="GL"), (1, 2, 1, 2),
+               (make_tag("z"), make_tag("z"), (), ()))
+    return repn.principal_series(t, backend="numeric")
+
+
+@pytest.mark.parametrize("fixture", [three_separate_boxes, tagged_a3_series],
+                         ids=["calibrated", "series"])
+def test_the_column_check_flags_a_perturbed_last_column(fixture):
+    rep = fixture()
+    d = rep.dim
+    assert d >= 6 and rep.report["all_pass"]
+    one = rep._ops.one()
+
+    bad_t = perturbed(rep, "t", d - 1, d - 1, one)
+    assert "T_1" in bad_t.report["quadratic"]["failures"]
+    assert bad_t.report["x_commute"]["failures"] == []
+
+    bad_x = perturbed(rep, "x", d - 1, 0, one)
+    assert (bad_x.report["x_commute"]["failures"]
+            or bad_x.report["cross"]["failures"])
+    assert bad_x.report["quadratic"]["failures"] == []
+    assert bad_x.report["braid"]["failures"] == []
+    assert not bad_t.report["all_pass"] and not bad_x.report["all_pass"]
+
+    if rep.backend == "numeric":
+        for module in (rep, bad_t, bad_x):
+            found = dense_failures(module)
+            for family in FAMILIES:
+                assert module.report[family]["failures"] == found[family]
+
+
+def test_the_column_check_agrees_with_dense_products_on_a_failing_series():
+    # the P lattice at a root of unity fails cross relations (a known defect
+    # of the exponent reduction), which both checks must find alike
+    t = weight(build("A", 3), (0, 1, 2, 3), ell=4)
+    rep = repn.principal_series(t, backend="numeric")
+    assert rep.report["cross"]["failures"]
+    found = dense_failures(rep)
+    for family in FAMILIES:
+        assert rep.report[family]["failures"] == found[family]
 
 
 def test_group_size_cap():
@@ -209,7 +328,9 @@ def test_non_triangular_module_at_a_non_regular_weight():
     t = weight(build("A", 1), (0, 0))
     twisted = lower_conjugate(repn.principal_series(t, backend="numeric"),
                               lambda i, j: 0.7)
-    assert not repn._mat_is_upper(twisted.x_mats[0], twisted._ops)
+    x = twisted.x_mats[0]
+    assert any(not twisted._ops.is_zero(x[i][j])
+               for i in range(len(x)) for j in range(i))
     dec = repn.weight_decomposition(twisted)
     assert dec.labels == (t,)
     assert dec.spaces[t] == (1, 2)
@@ -389,9 +510,17 @@ def test_tau_basis_is_unitriangular_and_diagonalizes_x():
         assert all(not v[j] for j in range(k + 1, len(v)))
         wt = t.weyl_act(w)
         for g in rs.lattice_generators():
-            moved = repn._mat_vec(rep.x_power(g), v, ops)
+            moved = [sum((a * b for a, b in zip(row, v)), ops.zero())
+                     for row in rep.x_power(g)]
             c = wt.eval(g)
             assert all(ops.eq(a, c * b) for a, b in zip(moved, v))
+
+
+def mat_eq(a, b, ops) -> bool:
+    """Entrywise equality of two dense matrices of the same shape."""
+    return (len(a) == len(b)
+            and all(len(ra) == len(rb) and all(map(ops.eq, ra, rb))
+                    for ra, rb in zip(a, b)))
 
 
 def test_tau_intertwines_the_lattice_action():
@@ -408,8 +537,8 @@ def test_tau_intertwines_the_lattice_action():
         src = repn._solve_in_span(
             op.source_basis,
             repn._mat_mul(rep.x_power(s.act(g)), op.source_basis, ops), ops)
-        assert repn._mat_eq(repn._mat_mul(tgt, op.matrix, ops),
-                            repn._mat_mul(op.matrix, src, ops), ops)
+        assert mat_eq(repn._mat_mul(tgt, op.matrix, ops),
+                      repn._mat_mul(op.matrix, src, ops), ops)
 
 
 def test_tau_square_is_the_rational_operator():
@@ -431,7 +560,7 @@ def test_tau_square_is_the_rational_operator():
                                      repn._mat_scale(1 / Q, x))
     num = repn._mat_mul(factor(xp), factor(xm), ops)
     den = repn._mat_mul(repn._mat_sub(eye, xp), repn._mat_sub(eye, xm), ops)
-    assert repn._mat_eq(repn._mat_mul(square, den, ops), num, ops)
+    assert mat_eq(repn._mat_mul(square, den, ops), num, ops)
 
 
 def test_tau_pair_invertibility_tracks_the_q2_wall():
@@ -471,7 +600,7 @@ def test_tau_braid_relation():
     m010, end010 = compose([0, 1, 0])
     m101, end101 = compose([1, 0, 1])
     assert end010 == end101
-    assert repn._mat_eq(m010, m101, ops)
+    assert mat_eq(m010, m101, ops)
 
 
 # -- calibrated modules ------------------------------------------------------
@@ -535,6 +664,14 @@ def test_non_skew_region_is_rejected_unless_forced():
     assert forced.dim == 1
     assert not forced.report["all_pass"]
     assert forced.report["braid"]["failures"] == ["(T_1, T_2) order 3"]
+
+
+@pytest.mark.parametrize("backend", ["exact", "numeric"])
+def test_forced_build_that_divides_by_zero_raises_a_named_error(backend):
+    t = weight(build("A", 2, lattice_mode="GL"), (0, 0, 1))
+    region = rg.local_region(t, frozenset())
+    with pytest.raises(DivisionByZero, match="divides by zero"):
+        repn.calibrated_module(region, force=True, backend=backend)
 
 
 # -- commutants and direct sums ----------------------------------------------

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affine_hecke.errors import GroupTooLarge, UnsupportedType
+from affine_hecke.errors import BadCap, GroupTooLarge, UnsupportedType
 from affine_hecke.rootsys import (
+    DEFAULT_WEYL_CAP,
     WEYL_CAP_ENV,
     build,
     element_from_one_line,
@@ -23,6 +24,7 @@ from affine_hecke.rootsys import (
     reflect,
     solve_linear,
     vec,
+    weyl_cap,
 )
 
 
@@ -138,6 +140,23 @@ def test_cap_holds_after_the_first_enumeration(monkeypatch):
         rs.weyl_elements()
     monkeypatch.setenv(WEYL_CAP_ENV, "120")
     assert len(rs.weyl_elements()) == 120
+
+
+def test_a_blank_weyl_cap_means_the_default(monkeypatch):
+    monkeypatch.setenv(WEYL_CAP_ENV, "")
+    assert weyl_cap() == DEFAULT_WEYL_CAP
+    monkeypatch.setenv(WEYL_CAP_ENV, " 24 ")
+    assert weyl_cap() == 24
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-5", "2.5"])
+def test_a_weyl_cap_that_is_not_a_positive_integer_is_refused(monkeypatch,
+                                                               raw):
+    monkeypatch.setenv(WEYL_CAP_ENV, raw)
+    with pytest.raises(BadCap, match=WEYL_CAP_ENV):
+        weyl_cap()
+    with pytest.raises(BadCap):
+        build("A", 2).weyl_elements()
 
 
 def test_a6_enumerates_past_the_default_cap(monkeypatch):

@@ -13,7 +13,7 @@ import pytest
 from affine_hecke import regions as rg
 from affine_hecke import repn
 from affine_hecke import tableaux as tb
-from affine_hecke.errors import HeckeError, TooLarge
+from affine_hecke.errors import BadCap, HeckeError, TooLarge
 from affine_hecke.rootsys import build
 from affine_hecke.scalars import ExactScalar
 from affine_hecke.weights import weight
@@ -173,3 +173,21 @@ def test_the_enumeration_cap_is_set_by_its_environment_variable(monkeypatch):
     assert len(tb.enumerate_standard(one_row(2))) == 1
     with pytest.raises(TooLarge):
         tb.enumerate_standard(one_row(3))
+
+
+def test_a_blank_enumeration_cap_means_the_default(monkeypatch):
+    monkeypatch.setenv(tb.ENUM_CAP_ENV, "")
+    assert tb._enum_cap("finite") == tb.FINITE_ENUM_CAP
+    assert tb._enum_cap("typec") == tb.TYPEC_ENUM_CAP
+    assert len(tb.enumerate_standard(one_row(tb.FINITE_ENUM_CAP))) == 1
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-5", "2.5"])
+def test_an_enumeration_cap_that_is_not_a_positive_integer_is_refused(
+        monkeypatch, raw):
+    monkeypatch.setenv(tb.ENUM_CAP_ENV, raw)
+    for mode in ("finite", "typec"):
+        with pytest.raises(BadCap, match=tb.ENUM_CAP_ENV):
+            tb._enum_cap(mode)
+    with pytest.raises(BadCap):
+        tb.enumerate_standard(one_row(2))
