@@ -2,9 +2,10 @@
 
 Each generator matrix is stored as sparse columns: column k is a {row: entry}
 dict of the nonzero entries of the image of basis vector k. In both bases
-built here a T column has at most two entries. The dense row tuples t_mats and
-x_mats are a view, built once from the columns, for numpy, describe() and the
-dense intertwiner helpers.
+built here a T column has at most two entries. Products, shifts and powers
+apply the columns (_apply), and solves go through rootsys elimination. The
+dense row tuples t_mats and x_mats are a view, built once from the columns,
+for numpy, describe() and the exact commutant solve.
 
 Entries live over the scalars object each module holds, which gives its
 backend, q0, tolerance (also what counts as a zero entry), q-powers and weight
@@ -198,9 +199,10 @@ def _dense_to_columns(m, d: int) -> list:
     return [{r: m[r][c] for r in range(d)} for c in range(d)]
 
 
-def _columns_to_dense(cols, ops) -> tuple:
+def _columns_to_dense(cols, d: int, ops) -> tuple:
+    """The d rows of the matrix whose columns are the sparse vectors cols."""
     zero = ops.zero()
-    rows = [[zero] * len(cols) for _ in cols]
+    rows = [[zero] * len(cols) for _ in range(d)]
     for c, col in enumerate(cols):
         for r, x in col.items():
             rows[r][c] = x
@@ -242,62 +244,22 @@ def _is_diagonal(cols) -> bool:
     return all(r == c for c, col in enumerate(cols) for r in col)
 
 
-# ---------------------------------------------------------------------------
-# dense matrix helpers (tuple-of-tuples, exact or complex entries)
-# ---------------------------------------------------------------------------
-
-def _mat_id(n: int, ops):
-    one, zero = ops.one(), ops.zero()
-    return tuple(tuple(one if i == j else zero for j in range(n))
-                 for i in range(n))
-
-
-def _mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_scale(c, a):
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def _mat_mul(a, b, ops):
-    # skips zero left entries; T-matrices are sparse and this pays off
-    n, m = len(a), len(b[0])
+def _shifted(cols, c, ops) -> tuple:
+    """Columns of c - A for a column matrix A and a scalar c."""
     zero = ops.zero()
-    out = [[zero] * m for _ in range(n)]
-    for i in range(n):
-        arow = a[i]
-        orow = out[i]
-        for k, aik in enumerate(arow):
-            if ops.is_zero(aik):
-                continue
-            brow = b[k]
-            for j in range(m):
-                bkj = brow[j]
-                if not ops.is_zero(bkj):
-                    orow[j] = orow[j] + aik * bkj
-    return tuple(tuple(row) for row in out)
+    return tuple({**{r: -x for r, x in col.items()}, k: c - col.get(k, zero)}
+                 for k, col in enumerate(cols))
 
 
-def _mat_power(a, k: int, ops):
-    out = _mat_id(len(a), ops)
-    for _ in range(k):
-        out = _mat_mul(out, a, ops)
-    return out
-
-
-def _mat_inverse(a, ops):
-    n = len(a)
+def _inverse(rows, ops) -> tuple:
+    """The sparse columns of the inverse of a square matrix given by rows."""
+    n = len(rows)
+    ident = _columns_to_dense([{k: ops.one()} for k in range(n)], n, ops)
     try:
-        return _solve_in_span(a, _mat_id(n, ops), ops)
+        inv = _solve_in_span(rows, ident, ops)
     except ValueError:
         raise ValueError("matrix is singular") from None
-
-
-def _columns(vectors):
-    """Stack length-d vectors as the columns of a d x m matrix."""
-    d = len(vectors[0])
-    return tuple(tuple(v[i] for v in vectors) for i in range(d))
+    return _sparse_columns(_dense_to_columns(inv, n), n, ops)
 
 
 # (root system key, mu) -> integer lattice coordinates of mu, None off the
@@ -351,7 +313,10 @@ class ModuleRep:
         self.t_cols = tuple(_sparse_columns(m, d, scalars) for m in t_cols)
         self.x_cols = tuple(_sparse_columns(m, d, scalars) for m in x_cols)
         self.weight = weight
-        self.basis_weights = tuple(basis_weights) if basis_weights else None
+        self.basis_weights = (None if basis_weights is None
+                              else tuple(basis_weights))
+        if self.basis_weights is not None and len(self.basis_weights) != d:
+            raise ValueError("one basis weight per basis vector")
         self.region = region
         self.report = None
         self._ops = scalars
@@ -397,7 +362,7 @@ class ModuleRep:
     def _dense_view(self):
         if self._dense is None:
             self._dense = tuple(
-                tuple(_columns_to_dense(m, self._ops) for m in mats)
+                tuple(_columns_to_dense(m, self.dim, self._ops) for m in mats)
                 for mats in (self.t_cols, self.x_cols))
         return self._dense
 
@@ -428,14 +393,15 @@ class ModuleRep:
 
     def x_power(self, mu):
         """Dense matrix of X^mu."""
-        return _columns_to_dense(self._x_power_columns(mu), self._ops)
+        return _columns_to_dense(self._x_power_columns(mu), self.dim,
+                                 self._ops)
 
     def _x_inverse(self, k: int):
         inv = self._xinv_cache.get(k)
         if inv is None:
-            inv = _mat_inverse(self.x_mats[k], self._ops)
-            inv = _sparse_columns(_dense_to_columns(inv, self.dim), self.dim,
-                                  self._ops)
+            ops = self._ops
+            inv = _inverse(_columns_to_dense(self.x_cols[k], self.dim, ops),
+                           ops)
             self._xinv_cache[k] = inv
         return inv
 
@@ -735,9 +701,8 @@ def weight_decomposition(rep: ModuleRep) -> WeightSpaceDecomp:
             # generalized weight space, so a line is a weight line
             plain = 1
         elif ops.exact:
-            ident = _mat_id(d, ops)
-            rows = [row for m, c in zip(rep.x_mats, key)
-                    for row in _mat_sub(m, _mat_scale(c, ident))]
+            rows = [row for m, c in zip(rep.x_cols, key)
+                    for row in _columns_to_dense(_shifted(m, c, ops), d, ops)]
             plain = len(_rank_nullspace(rows, ops)[1])
         else:
             import numpy as np
@@ -948,7 +913,7 @@ def spherical(t: Weight, backend: str = "auto",
 
     The closed-form comparison runs exactly when the weight is regular;
     otherwise expansion_check is None. A given rep is used as the principal
-    series; backend must then be "auto" or its backend.
+    series; backend must then be "auto" or its backend, and its weight t.
     """
     if rep is None:
         rep = principal_series(t, backend=backend)
@@ -956,6 +921,9 @@ def spherical(t: Weight, backend: str = "auto",
         _check_backend(backend)
         raise ValueError(f"backend {backend!r} does not match the "
                          f"{rep.backend!r} module passed as rep")
+    elif rep.weight != t:
+        raise ValueError("the module passed as rep is built at another "
+                         "weight than t")
     ops = rep._ops
     q = ops.q(1)
     vector = tuple(ops.q(w.length()) for w in rep.basis)
@@ -1203,15 +1171,18 @@ def generalized_weight_basis(rep: ModuleRep, t: Weight):
     d = rep.dim
     ev = ops.at(t).ev
     rows = []
-    for g, xm in zip(rep.rs.lattice_generators(), rep.x_mats):
-        shifted = _mat_sub(xm, _mat_scale(ev(g), _mat_id(d, ops)))
-        rows.extend(_mat_power(shifted, m, ops))
+    for g, xm in zip(rep.rs.lattice_generators(), rep.x_cols):
+        # (chi_g - X_g)^m, one factor applied to each column at a time
+        shifted = power = _shifted(xm, ev(g), ops)
+        for _ in range(m - 1):
+            power = tuple(_apply(shifted, col, ops) for col in power)
+        rows.extend(_columns_to_dense(power, d, ops))
     _, null = _rank_nullspace(rows, ops)
     if len(null) != m:
         raise NumericIllConditioned(
             f"generalized space came out {len(null)}-dimensional, "
             f"expected {m}")
-    basis = _columns(null)
+    basis = mat_transpose(null)
     rep._gen_basis_cache[t] = basis
     return basis
 
@@ -1249,14 +1220,18 @@ def tau_operator(i: int, t: Weight, rep: ModuleRep) -> TauOperator:
     source = generalized_weight_basis(rep, t)
     target_weight = t.weyl_act(rs.simple_reflection(i))
     target = generalized_weight_basis(rep, target_weight)
-    a = _mat_sub(_mat_id(rep.dim, ops), rep.x_power(vec_neg(alpha)))
-    c = _solve_in_span(source, _mat_mul(a, source, ops), ops)
-    c_inv = _mat_inverse(c, ops)
-    qm = ops.qm
-    moved = _mat_mul(rep.t_mats[i], source, ops)
-    correction = _mat_mul(_mat_scale(qm, source), c_inv, ops)
-    action = _mat_sub(moved, correction)
-    matrix = _solve_in_span(target, action, ops)
+    d = rep.dim
+    source_cols = [dict(enumerate(col)) for col in mat_transpose(source)]
+    # tau_i = T_i - (q - q^-1) (1 - X^-alpha)^-1, the inverse taken in source
+    # coordinates, where 1 - X^-alpha keeps the generalized weight space
+    a = _shifted(rep._x_power_columns(vec_neg(alpha)), ops.one(), ops)
+    images = _columns_to_dense([_apply(a, v, ops) for v in source_cols], d,
+                               ops)
+    c_inv = _inverse(_solve_in_span(source, images, ops), ops)
+    action = [_add_scaled(_apply(rep.t_cols[i], v, ops), -ops.qm,
+                          _apply(source_cols, col, ops))
+              for v, col in zip(source_cols, c_inv)]
+    matrix = _solve_in_span(target, _columns_to_dense(action, d, ops), ops)
     return TauOperator(rep=rep, index=i, source=t, target=target_weight,
                        source_basis=source, target_basis=target,
                        matrix=matrix)

@@ -523,6 +523,27 @@ def mat_eq(a, b, ops) -> bool:
                     for ra, rb in zip(a, b)))
 
 
+# small dense helpers on matrices given by rows, independent of the library's
+# column kernel
+
+def mat_mul(a, b, ops):
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), ops.zero())
+                       for col in zip(*b)) for row in a)
+
+
+def mat_id(n, ops):
+    return tuple(tuple(ops.one() if i == j else ops.zero() for j in range(n))
+                 for i in range(n))
+
+
+def mat_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_scale(c, a):
+    return tuple(tuple(c * x for x in row) for row in a)
+
+
 def test_tau_intertwines_the_lattice_action():
     rs = build("C", 2)
     t = gamma_with_pairings(rs, ("0", "1"))
@@ -532,13 +553,13 @@ def test_tau_intertwines_the_lattice_action():
     ops = rep._ops
     for g in rs.lattice_generators():
         tgt = repn._solve_in_span(
-            op.target_basis,
-            repn._mat_mul(rep.x_power(g), op.target_basis, ops), ops)
+            op.target_basis, mat_mul(rep.x_power(g), op.target_basis, ops),
+            ops)
         src = repn._solve_in_span(
             op.source_basis,
-            repn._mat_mul(rep.x_power(s.act(g)), op.source_basis, ops), ops)
-        assert mat_eq(repn._mat_mul(tgt, op.matrix, ops),
-                      repn._mat_mul(op.matrix, src, ops), ops)
+            mat_mul(rep.x_power(s.act(g)), op.source_basis, ops), ops)
+        assert mat_eq(mat_mul(tgt, op.matrix, ops),
+                      mat_mul(op.matrix, src, ops), ops)
 
 
 def test_tau_square_is_the_rational_operator():
@@ -548,19 +569,18 @@ def test_tau_square_is_the_rational_operator():
     ops = rep._ops
     fwd = repn.tau_operator(1, t, rep)
     back = repn.tau_operator(1, fwd.target, rep)
-    square = repn._mat_mul(back.matrix, fwd.matrix, ops)
+    square = mat_mul(back.matrix, fwd.matrix, ops)
 
     alpha = rs.simple_roots[1]
     restrict = lambda mu: repn._solve_in_span(
-        fwd.source_basis,
-        repn._mat_mul(rep.x_power(mu), fwd.source_basis, ops), ops)
+        fwd.source_basis, mat_mul(rep.x_power(mu), fwd.source_basis, ops),
+        ops)
     xp, xm = restrict(alpha), restrict(vec_neg(alpha))
-    eye = repn._mat_id(len(square), ops)
-    factor = lambda x: repn._mat_sub(repn._mat_scale(Q, eye),
-                                     repn._mat_scale(1 / Q, x))
-    num = repn._mat_mul(factor(xp), factor(xm), ops)
-    den = repn._mat_mul(repn._mat_sub(eye, xp), repn._mat_sub(eye, xm), ops)
-    assert mat_eq(repn._mat_mul(square, den, ops), num, ops)
+    eye = mat_id(len(square), ops)
+    factor = lambda x: mat_sub(mat_scale(Q, eye), mat_scale(1 / Q, x))
+    num = mat_mul(factor(xp), factor(xm), ops)
+    den = mat_mul(mat_sub(eye, xp), mat_sub(eye, xm), ops)
+    assert mat_eq(mat_mul(square, den, ops), num, ops)
 
 
 def test_tau_pair_invertibility_tracks_the_q2_wall():
@@ -592,8 +612,7 @@ def test_tau_braid_relation():
         out, cur = None, t
         for i in reversed(word):
             op = repn.tau_operator(i, cur, rep)
-            out = op.matrix if out is None else repn._mat_mul(
-                op.matrix, out, ops)
+            out = op.matrix if out is None else mat_mul(op.matrix, out, ops)
             cur = op.target
         return out, cur
 
@@ -601,6 +620,44 @@ def test_tau_braid_relation():
     m101, end101 = compose([1, 0, 1])
     assert end010 == end101
     assert mat_eq(m010, m101, ops)
+
+
+@pytest.mark.parametrize("label,pairings,i", [
+    ("A", ("2", "3"), 0), ("A", ("2", "3"), 1), ("C", ("0", "1"), 1)])
+def test_numeric_tau_is_the_exact_one_at_q0(label, pairings, i):
+    t = gamma_with_pairings(build(label, 2), pairings)
+    exact = repn.principal_series(t, backend="exact")
+    numeric = repn.principal_series(t, backend="numeric")
+
+    def close(a, b):
+        return (len(a) == len(b) and all(
+            len(ra) == len(rb) and all(near(x.specialize(numeric.q0), y, 1e-7)
+                                       for x, y in zip(ra, rb))
+            for ra, rb in zip(a, b)))
+
+    # the operator and the one back from its target
+    for source in (t, t.weyl_act(build(label, 2).simple_reflection(i))):
+        ex = repn.tau_operator(i, source, exact)
+        nu = repn.tau_operator(i, source, numeric)
+        assert ex.target == nu.target
+        assert close(ex.matrix, nu.matrix)
+        assert close(ex.source_basis, nu.source_basis)
+        assert ex.is_invertible() == nu.is_invertible()
+
+
+@pytest.mark.parametrize("backend", ["exact", "numeric"])
+def test_a_singular_x_on_the_p_lattice_is_reported(backend):
+    # on the P lattice s_1 sends the generator to its inverse, so the cross
+    # relation needs X^-1; with the bottom row of X zeroed there is none
+    rs = build("A", 1)
+    rep = repn.principal_series(gamma_with_pairings(rs, ("2",)),
+                                backend=backend)
+    x = [list(rep.x_mats[0][0]), [rep._ops.zero()] * 2]
+    broken = repn.ModuleRep.from_matrices(
+        rs, rep.basis, rep.t_mats, [x], weight=rep.weight, backend=backend)
+    assert broken.report["cross"]["failures"] == [
+        "(T_1, X_1): matrix is singular"]
+    assert not broken.report["all_pass"]
 
 
 # -- calibrated modules ------------------------------------------------------
@@ -832,6 +889,24 @@ def test_spherical_backend_must_match_the_given_module():
     assert repn.spherical(t, backend="exact", rep=rep).eigen_pass
     with pytest.raises(ValueError, match="does not match"):
         repn.spherical(t, backend="numeric", rep=rep)
+
+
+def test_spherical_refuses_a_module_built_at_another_weight():
+    rs = build("A", 1, lattice_mode="GL")
+    rep = repn.principal_series(weight(rs, (1, 0)))
+    assert repn.spherical(weight(rs, (1, 0)), rep=rep).eigen_pass
+    with pytest.raises(ValueError, match="another weight"):
+        repn.spherical(weight(rs, (3, 0)), rep=rep)
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_from_matrices_needs_one_basis_weight_per_basis_vector(count):
+    rs = build("A", 1)
+    rep = repn.principal_series(gamma_with_pairings(rs, ("2",)))
+    weights = (rep.basis_weights * 2)[:count]
+    with pytest.raises(ValueError, match="one basis weight per basis vector"):
+        repn.ModuleRep.from_matrices(rs, rep.basis, rep.t_mats, rep.x_mats,
+                                     weight=rep.weight, basis_weights=weights)
 
 
 def test_from_matrices_needs_a_concrete_backend():

@@ -450,6 +450,17 @@ def test_lattice_membership():
     assert not a2.in_lattice(vec([1, 0, 0]))
 
 
+@pytest.mark.parametrize("label,rank,oracle", [
+    ("A", 3, lambda v: sorted(v) == [-1, 0, 0, 1]),
+    ("B", 2, lambda v: any(v) and max(map(abs, v)) == 1),
+    ("C", 2, lambda v: sorted(map(abs, v)) in ([0, 2], [1, 1])),
+])
+def test_is_root_matches_the_textbook_root_sets(label, rank, oracle):
+    rs = build(label, rank)
+    for v in itertools.product(range(-2, 3), repeat=rs.dim):
+        assert rs.is_root(vec(v)) == oracle(v), v
+
+
 def test_dominance():
     gl = build("A", 3, lattice_mode="GL")
     assert gl.is_dominant(vec([1, 1, 2, 5]))

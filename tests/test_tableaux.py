@@ -6,6 +6,7 @@ against the independent chamber route.
 """
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,44 @@ def test_configuration_to_skew_normalises_the_picture():
     cfg = tb.region_to_configuration(gamma, J)
     assert tb.configuration_to_skew(cfg) == ((2, 1), (0, 0), 1)
     assert tb.skew_to_region((2, 1), (0, 0), 1) == (gamma, J)
+
+
+@pytest.mark.parametrize("lam,mu", [((2, 1), ()), ((3, 2), (1,)),
+                                    ((3, 3, 1), (2,))])
+def test_conjugating_a_filling_twice_gives_it_back(lam, mu):
+    cfg = tb.region_to_configuration(*tb.skew_to_region(lam, mu))
+    fillings = tb.enumerate_standard(cfg)
+    assert fillings
+    for filling in fillings:
+        conj, conj_filling = tb.conjugate_filling(cfg, filling)
+        back, back_filling = tb.conjugate_filling(conj, conj_filling)
+        assert back_filling == filling
+        assert back.region == cfg.region
+
+
+def test_render_text_shows_contents_or_the_filling():
+    # box 1 (content -1) sits under box 2 (content 0), box 3 (content 1)
+    # east of box 2
+    cfg = tb.region_to_configuration(*tb.skew_to_region((2, 1)))
+    assert tb.render_text(cfg) == "[ 0][ 1]\n[-1]"
+    assert tb.render_text(cfg, [2, 1, 3]) == "[1][3]\n[2]"
+    filling = tb.filling_from_entries(cfg, [2, 1, 3])
+    assert tb.render_text(cfg, filling) == "[1][3]\n[2]"
+
+
+def test_to_dict_survives_a_json_round_trip():
+    cfg = tb.region_to_configuration(*tb.skew_to_region((3, 2), (1,)))
+    for filling in (None,) + tb.enumerate_standard(cfg):
+        out = tb.to_dict(cfg, filling)
+        assert json.loads(json.dumps(out)) == out
+        assert out["n"] == 4
+    assert out["filling"] == [{"index": i, "entry": e} for i, e in
+                              zip(filling.indices, filling.entries)]
+
+
+def test_wrap_flags_name_the_pairs_across_the_period():
+    cfg = tb.periodic_configuration((0, 0, 1, 2, 3), [], ell=4)
+    assert cfg.wrap_flags == {(1, 5): "NW", (2, 5): "NW"}
 
 
 H = Fraction(1, 2)
