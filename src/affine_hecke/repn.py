@@ -5,7 +5,7 @@ dict of the nonzero entries of the image of basis vector k. In both bases
 built here a T column has at most two entries. Products, shifts and powers
 apply the columns (_apply), and solves go through rootsys elimination. The
 dense row tuples t_mats and x_mats are a view, built once from the columns,
-for numpy, describe() and the exact commutant solve.
+for the numpy routes and describe().
 
 Entries live over the scalars object each module holds, which gives its
 backend, q0, tolerance (also what counts as a zero entry), q-powers and weight
@@ -28,6 +28,7 @@ matrix keeps each generalized weight space).
 from __future__ import annotations
 
 import cmath
+import heapq
 import itertools
 import math
 import operator
@@ -70,6 +71,7 @@ class _ExactScalars:
     q = staticmethod(ExactScalar.q_power)
     is_zero = staticmethod(ExactScalar.is_zero)
     eq = staticmethod(operator.eq)
+    size = staticmethod(bool)
     entry = staticmethod(ExactScalar.serialize)
 
     def __init__(self, t: Weight | None = None):
@@ -90,6 +92,7 @@ class _NumericScalars:
     backend = "numeric"
     exact = False
     tol = NUMERIC_TOL
+    size = staticmethod(abs)
 
     def __init__(self, t: Weight | None = None, q0=None):
         if q0 is None:
@@ -167,15 +170,6 @@ def _scalars(t: Weight, backend: str):
         raise MixedCosetExact(
             "some root carries a coset tag; use the numeric backend")
     return _ExactScalars(t)
-
-
-def _char_is_one(t: Weight, mu) -> bool:
-    if t.tag_of(mu) != TRIVIAL_TAG:
-        return False
-    c = vec_dot(t.gamma, mu)
-    if t.ell is not None:
-        return c.denominator == 1 and int(c) % t.ell == 0
-    return c == 0
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +337,15 @@ class ModuleRep:
                   [_dense_to_columns(m, len(basis)) for m in t_mats],
                   [_dense_to_columns(m, len(basis)) for m in x_mats],
                   scalars, weight=weight, basis_weights=basis_weights)
+        if rep.basis_weights is not None and all(map(_is_upper, rep.x_cols)):
+            zero = scalars.zero()
+            gens = rs.lattice_generators()
+            for k, wt in enumerate(rep.basis_weights):
+                ev = scalars.at(wt).ev
+                if not all(scalars.eq(m[k].get(k, zero), ev(g))
+                           for g, m in zip(gens, rep.x_cols)):
+                    raise ValueError(f"basis weight {k} does not match the "
+                                     f"X diagonals at {k}")
         if verify:
             rep.report = verify_relations(rep)
         return rep
@@ -969,165 +972,161 @@ def kato_irreducible(t: Weight) -> bool:
 def commutant_dim(rep: ModuleRep, method: str = "auto") -> int:
     """Dimension of the algebra of matrices commuting with all generators.
 
-    method="auto" works block by block whenever every X matrix is upper
-    triangular (true for the builders in this module), at any dimension. A
-    matrix commuting with the X generators keeps each generalized weight
-    space, so in a basis of generalized weight vectors it is block diagonal
-    and only sum(m_chi^2) unknowns remain. Exact modules with diagonal X and
-    pairwise distinct characters (calibrated modules) count the connected
-    components of the T graph exactly; other exact triangular modules are
-    solved at q0, and numeric ones read a guarded singular value count.
-    Without triangular X, auto runs a dense numeric solve (dim <= 24).
-    method="exact" runs dense exact elimination (exact modules only,
-    dim <= 200), the independent check on the block route.
+    Two routes. With every X upper triangular (as the builders here make
+    them) a commuting matrix keeps each generalized weight space, so it is
+    solved block by block in a basis of generalized weight vectors, at any
+    dimension (_block_commutant). Otherwise a dense numeric solve runs over
+    all d^2 unknowns (dim <= 24). method="auto" takes the block route over
+    the module's scalars, but solves an exact module whose X is not
+    diagonal at q0, on a numeric copy, where exact elimination is far
+    slower. method="exact" takes the block route in exact scalars, for exact
+    modules with upper triangular X only.
     """
     if method not in ("auto", "exact"):
         raise ValueError(
             f"unknown commutant method {method!r}; use 'auto' or 'exact'")
-    if method == "auto":
-        via_blocks = _block_commutant(rep, RANK_TOL)
-        if via_blocks is not None:
-            return via_blocks
-    d = rep.dim
-    if d > 200:
-        raise TooLarge(f"commutant solve needs dim <= 200, got {d}")
-    if method == "exact":
-        if not rep._ops.exact:
-            raise ValueError(f"method 'exact' needs an exact module, not a "
-                             f"{rep.backend!r} one")
-        return _exact_commutant(rep)
-    return _numeric_commutant(rep, RANK_TOL)
-
-
-def _block_commutant(rep: ModuleRep, tol: float) -> int | None:
-    """The commutant in a basis of generalized weight vectors; None unless
-    every X matrix is upper triangular."""
     ops = rep._ops
+    if method == "exact" and not ops.exact:
+        raise ValueError(f"method 'exact' needs an exact module, not a "
+                         f"{rep.backend!r} one")
     if not all(map(_is_upper, rep.x_cols)):
-        return None
-    groups, keys = _weight_groups(rep, tol)
-    if ops.exact:
-        # diagonal X: the stored basis is already a weight basis
-        if len(groups) == rep.dim and all(map(_is_diagonal, rep.x_cols)):
-            return _t_graph_components(rep)
-        return _block_commutant(_specialized_copy(rep), tol)
+        if method == "exact":
+            raise UnsupportedType(
+                "the exact commutant needs upper triangular X matrices")
+        return _numeric_commutant(rep, RANK_TOL)
+    if (method == "auto" and ops.exact
+            and not all(map(_is_diagonal, rep.x_cols))):
+        rep = _specialized_copy(rep)
+    return _block_commutant(rep, RANK_TOL)
 
-    import numpy as np
-    gens = np.array(rep.t_mats + rep.x_mats, dtype=complex)
-    basis = _weight_vectors(gens[len(rep.t_mats):], groups, keys, tol)
-    gens = np.linalg.solve(basis, gens @ basis)
-    sizes = [len(g) for g in groups]
-    starts = np.cumsum([0] + sizes)
-    offsets = np.cumsum([0] + [m * m for m in sizes])
-    # block pairs (a, b) where G_ab is nonzero, entries within the relation
-    # tolerance counting as zero; 1 x 1 blocks G_aa commute with every C_a
-    pairs = []
-    for g in gens:
-        peaks = np.maximum.reduceat(
-            np.maximum.reduceat(np.abs(g), starts[:-1], axis=0),
-            starts[:-1], axis=1)
-        pairs.extend((g, a, b) for a, b in np.argwhere(peaks > NUMERIC_TOL)
-                     if a != b or sizes[a] > 1)
-    if not pairs:
-        return int(offsets[-1])
-    system = np.zeros((sum(sizes[a] * sizes[b] for _, a, b in pairs),
-                       offsets[-1]), dtype=complex)
-    r = 0
-    for g, a, b in pairs:
+
+def _block_commutant(rep: ModuleRep, tol: float) -> int:
+    """The commutant of a module with upper triangular X, in the basis of
+    _weight_basis: X is block diagonal there, and so is a commuting matrix,
+    one block C_a per generalized weight space a. Each generator block G_ab
+    asks G_ab C_b = C_a G_ab. Between two weight lines that merges them
+    where G_ab is nonzero; blocks touching a wider space give the rows of a
+    linear system over the merged lines and the wider blocks."""
+    ops = rep._ops
+    d = rep.dim
+    groups, _ = _weight_groups(rep, tol)
+    basis, owner, pos = [None] * d, [0] * d, [0] * d
+    for a, group in enumerate(groups):
+        vectors = _weight_basis(rep.x_cols, group, ops)
+        for p, (k, v) in enumerate(zip(group, vectors)):
+            basis[k], owner[k], pos[k] = v, a, p
+    sizes = [len(group) for group in groups]
+    parent = list(range(len(groups)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    entries = []   # (generator, a, b, p, q, entry (p, q) of G_ab)
+    for g, gen in enumerate(rep.t_cols + rep.x_cols):
+        for s, v in enumerate(basis):
+            image = gen[s] if len(v) == 1 else _apply(gen, v, ops)
+            for r, c in _coordinates(image, basis, ops).items():
+                a, b = owner[r], owner[s]
+                if a != b and g >= len(rep.t_cols):
+                    raise NumericIllConditioned(
+                        "an X matrix leaves a generalized weight space")
+                if sizes[a] > 1 or sizes[b] > 1:
+                    entries.append((g, a, b, pos[r], pos[s], c))
+                elif a != b:
+                    parent[find(a)] = find(b)
+
+    # C_a[i][k] is unknown offset[find(a)] + i m_a + k: lines share their
+    # component's one unknown, and a wider space is never merged
+    offset, n = {}, 0
+    for a, m in enumerate(sizes):
+        if find(a) not in offset:
+            offset[find(a)], n = n, n + m * m
+    zero = ops.zero()
+    rows: dict = {}
+
+    def add(key, col, x):
+        row = rows.setdefault(key, [zero] * n)
+        row[col] = row[col] + x
+
+    for g, a, b, p, q, c in entries:
         ma, mb = sizes[a], sizes[b]
-        blk = g[starts[a]:starts[a + 1], starts[b]:starts[b + 1]]
-        # G_ab C_b - C_a G_ab, with each C flattened row by row
-        rows = system[r:r + ma * mb]
-        rows[:, offsets[b]:offsets[b + 1]] += np.kron(blk, np.eye(mb))
-        rows[:, offsets[a]:offsets[a + 1]] -= np.kron(np.eye(ma), blk.T)
-        r += ma * mb
+        for j in range(mb):   # (G_ab C_b)[p][j] takes c C_b[q][j]
+            add((g, a, b, p, j), offset[find(b)] + q * mb + j, c)
+        for i in range(ma):   # (C_a G_ab)[i][q] takes c C_a[i][p]
+            add((g, a, b, i, q), offset[find(a)] + i * ma + p, -c)
+    system = [row for row in rows.values() if not all(map(ops.is_zero, row))]
+    if not system:
+        return n
+    if ops.exact:
+        return n - _rank_nullspace(system, ops)[0]
     return _numeric_nullity(system, tol)
 
 
-def _weight_vectors(xs, groups, keys, tol: float):
-    """d x d matrix whose columns span the generalized weight spaces, group by
-    group, for upper triangular X matrices xs (an n x d x d array)."""
-    import numpy as np
-    d = xs.shape[1]
-    chars = np.array(keys, dtype=complex)
-    # a one-dimensional space at basis index k: v[k] = 1, v[j] = 0 for j > k,
-    # and for j = k - 1, ..., 0 row j of the X with the largest pivot
-    # chi_j - chi_k fixes v[j] by back-substitution
-    lone = np.array([g[0] for g in groups if len(g) == 1], dtype=int)
-    vecs = np.zeros((d, len(lone)), dtype=complex)
-    vecs[lone, np.arange(len(lone))] = 1
-    gaps = chars[:, None, :] - chars[None, lone, :]
-    best = np.abs(gaps).argmax(axis=2)
-    pivots = np.take_along_axis(gaps, best[..., None], axis=2)[..., 0]
-    for j in range(d - 2, -1, -1):
-        above = np.nonzero(lone > j)[0]
-        if not len(above):
-            continue
-        acc = xs[:, j, j + 1:] @ vecs[j + 1:, above]
-        vecs[j, above] = (-acc[best[j, above], np.arange(len(above))]
-                          / pivots[j, above])
-    vecs /= np.linalg.norm(vecs, axis=0)
-    lone_col = {k: c for c, k in enumerate(lone)}
-
-    cols = []
-    for group in groups:
-        m = len(group)
-        if m == 1:
-            cols.append(vecs[:, lone_col[group[0]]])
-        elif m == d:
-            cols.extend(np.eye(d, dtype=complex))
-        else:
-            eye = np.eye(d)
-            stacked = np.vstack([np.linalg.matrix_power(x - c * eye, m)
-                                 for x, c in zip(xs, chars[group[0]])])
-            if _numeric_nullity(stacked, tol) != m:
-                raise NumericIllConditioned(
-                    f"generalized weight space is not {m}-dimensional")
-            cols.extend(np.linalg.svd(stacked)[2][-m:].conj())
-    return np.array(cols).T
-
-
-def _t_graph_components(rep: ModuleRep) -> int:
-    """Connected components of the graph of nonzero off-diagonal T entries:
-    the commutant dimension of a module whose X are diagonal with pairwise
-    distinct characters, where commuting matrices are diagonal too."""
-    d = rep.dim
-    parent = list(range(d))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for m in rep.t_cols:
-        for b, col in enumerate(m):
-            for a in col:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-    return len({find(k) for k in range(d)})
-
-
-def _exact_commutant(rep: ModuleRep) -> int:
-    ops = _ExactScalars()
-    d = rep.dim
+def _weight_basis(x_cols, group, ops) -> list:
+    """The basis v_s (s in group, sparse) of the generalized weight space of
+    commuting upper triangular X whose diagonals share one joint character
+    chi at the indices of group: v_s is 1 at s, 0 below s and 0 at the rest
+    of group. It exists and is unique, as reading off the coordinates in
+    group maps the space one to one onto their span. v_s is solved from row
+    s - 1 upward: (X_g - chi_g) v_s has coordinate c_u on v_u at a row u of
+    group, and row j of (X_g - chi_g) v_s = sum c_u v_u fixes v_s[j] at a
+    row j off group, for the generator g with the widest gap X_g[j][j] - chi_g.
+    """
+    members = set(group)
     zero = ops.zero()
-    rows = []
-    for g in rep.t_mats + rep.x_mats:
-        for r in range(d):
-            for c in range(d):
-                row = [zero] * (d * d)
-                for a in range(d):
-                    if not g[r][a].is_zero():
-                        row[a * d + c] = row[a * d + c] + g[r][a]
-                for b in range(d):
-                    if not g[b][c].is_zero():
-                        row[r * d + b] = row[r * d + b] - g[b][c]
-                if any(not x.is_zero() for x in row):
-                    rows.append(tuple(row))
-    rank, _ = _rank_nullspace(rows, ops)
-    return d * d - rank
+    basis: dict = {}
+    for s in group:
+        chi = [m[s].get(s, zero) for m in x_cols]
+        v = {s: ops.one()}
+        # acc[g] is X_g v so far: at row j it sums over the k > j of v
+        acc = [dict(m[s]) for m in x_cols]
+        coeffs = {}   # u -> c_u, one per generator
+        low = min([s, *itertools.chain(*acc)])   # no row below is reached
+        j = s
+        while j > low:
+            j -= 1
+            if j in members:
+                c = [a.get(j, zero) for a in acc]
+                if not all(map(ops.is_zero, c)):
+                    coeffs[j] = c
+                    low = min([low, *basis[j]])
+                continue
+            gaps = [m[j].get(j, zero) - x for m, x in zip(x_cols, chi)]
+            g = max(range(len(gaps)), key=lambda k: ops.size(gaps[k]))
+            rhs = -acc[g].get(j, zero)
+            for u, c in coeffs.items():
+                rhs = rhs + c[g] * basis[u].get(j, zero)
+            x = rhs / gaps[g]
+            if not ops.is_zero(x):
+                v[j] = x
+                for a, m in zip(acc, x_cols):
+                    _add_scaled(a, x, m[j])
+                    low = min([low, *m[j]])
+        basis[s] = v
+    return [basis[s] for s in group]
+
+
+def _coordinates(y: dict, basis, ops) -> dict:
+    """Coordinates of the sparse vector y over sparse vectors basis[r] that
+    are 1 at r and 0 below r, by back-substitution from the last row up."""
+    y = dict(y)
+    heap = [-r for r in y]
+    heapq.heapify(heap)
+    out = {}
+    while heap:
+        r = -heapq.heappop(heap)
+        c = y[r]
+        if not ops.is_zero(c):
+            out[r] = c
+            if len(basis[r]) > 1:   # else basis[r] is e_r: nothing to take
+                for k in basis[r]:
+                    if k not in y:
+                        heapq.heappush(heap, -k)
+                _add_scaled(y, -c, basis[r])
+    return out
 
 
 def _numeric_commutant(rep: ModuleRep, tol: float) -> int:
@@ -1213,7 +1212,7 @@ def tau_operator(i: int, t: Weight, rep: ModuleRep) -> TauOperator:
     """
     rs = rep.rs
     alpha = rs.simple_roots[i]
-    if _char_is_one(t, alpha):
+    if alpha in t.zp_sets()[0]:
         raise UndefinedTau(
             f"weight takes value 1 on X^{alpha}; no intertwiner there")
     ops = rep._ops

@@ -77,28 +77,34 @@ def test_no_parameter_is_unread():
 CAP_READERS = {"rootsys.py:weyl_cap", "tableaux.py:_enum_cap"}
 
 
-def _environment_reads(tree, module, scope="<module>"):
-    """module:def for each read of os.environ or os.getenv, by the def that
+def _reads(tree, module, hit, scope="<module>"):
+    """module:def for each node under tree that hit accepts, by the def that
     holds it."""
     reads = []
     for child in ast.iter_child_nodes(tree):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            reads += _environment_reads(child, module, child.name)
+            reads += _reads(child, module, hit, child.name)
             continue
-        if (isinstance(child, ast.Attribute)
-                and child.attr in ("environ", "getenv")
-                or isinstance(child, ast.Name)
-                and child.id in ("environ", "getenv")):
+        if hit(child):
             reads.append(f"{module}:{scope}")
-        reads += _environment_reads(child, module, scope)
+        reads += _reads(child, module, hit, scope)
     return reads
 
 
+def _reads_in_src(hit):
+    return {read for path in sorted(SRC.glob("*.py"))
+            for read in _reads(ast.parse(path.read_text()), path.name, hit)}
+
+
+def _is_environment_read(node):
+    """A read of os.environ or os.getenv."""
+    return (isinstance(node, ast.Attribute)
+            and node.attr in ("environ", "getenv")
+            or isinstance(node, ast.Name) and node.id in ("environ", "getenv"))
+
+
 def test_caps_are_read_from_the_environment_in_one_place_each():
-    reads = {read for path in sorted(SRC.glob("*.py"))
-             for read in _environment_reads(ast.parse(path.read_text()),
-                                            path.name)}
-    assert reads == CAP_READERS
+    assert _reads_in_src(_is_environment_read) == CAP_READERS
 
 
 def test_no_def_takes_a_cap_argument():
@@ -109,3 +115,19 @@ def test_no_def_takes_a_cap_argument():
         and "cap" in {a.arg for a in node.args.posonlyargs + node.args.args
                       + node.args.kwonlyargs})
     assert not takes, f"defs with a cap parameter: {takes}"
+
+
+# The dense t_mats/x_mats view serves describe() and the numpy routes only;
+# every other reader works on the sparse columns.
+DENSE_VIEW_READERS = {"repn.py:describe", "repn.py:_weight_groups",
+                      "repn.py:weight_decomposition",
+                      "repn.py:_numeric_commutant"}
+
+
+def _is_dense_view_read(node):
+    return (isinstance(node, ast.Attribute)
+            and node.attr in ("t_mats", "x_mats"))
+
+
+def test_the_dense_view_is_read_in_four_places():
+    assert _reads_in_src(_is_dense_view_read) == DENSE_VIEW_READERS

@@ -19,11 +19,11 @@ from affine_hecke.errors import (
     NotRegular,
     NotSkew,
     NumericIllConditioned,
-    TooLarge,
     UndefinedTau,
     UnsupportedType,
 )
-from affine_hecke.rootsys import build, solve_linear, vec_add, vec_neg, vec_scale
+from affine_hecke.rootsys import (build, mat_transpose, solve_linear,
+                                   vec_add, vec_neg, vec_scale)
 from affine_hecke.scalars import ExactScalar, near
 from affine_hecke.weights import Weight, height_character, make_tag, weight
 
@@ -474,6 +474,7 @@ def test_opposite_unit_pairings_split_the_module():
     assert repn.commutant_dim(numeric) == 2
     exact = repn.principal_series(t)
     assert repn.commutant_dim(exact, method="exact") == 2
+    assert dense_exact_commutant(exact) == 2
     assert repn.commutant_dim(exact) == 2
 
 
@@ -738,6 +739,44 @@ def dense_commutant(rep):
     return repn._numeric_commutant(rep, repn.RANK_TOL)
 
 
+def dense_exact_commutant(rep):
+    """The commutant of an exact module by exact elimination of G C - C G
+    over all d^2 unknowns, as an oracle for method="exact". Rows are reduced
+    one at a time against the pivot rows found so far; the identity always
+    commutes, so the answer is 1 once the rank reaches d^2 - 1."""
+    ops = rep._ops
+    d = rep.dim
+    zero = ops.zero()
+    pivots = {}   # leading unknown -> its row, 1 there, as {unknown: entry}
+    for g in rep.t_mats + rep.x_mats:
+        for r in range(d):
+            for c in range(d):
+                # entry (r, c) of G C - C G, with C flattened row by row
+                row = {}
+                for k in range(d):
+                    if g[r][k]:
+                        row[k * d + c] = row.get(k * d + c, zero) + g[r][k]
+                    if g[k][c]:
+                        row[r * d + k] = row.get(r * d + k, zero) - g[k][c]
+                row = {k: x for k, x in row.items() if x}
+                while row:
+                    lead = min(row)
+                    if lead not in pivots:
+                        pivots[lead] = {k: x / row[lead]
+                                        for k, x in row.items()}
+                        break
+                    f = row[lead]
+                    for k, x in pivots[lead].items():
+                        y = row.get(k, zero) - f * x
+                        if y:
+                            row[k] = y
+                        else:
+                            row.pop(k, None)
+                if len(pivots) == d * d - 1:
+                    return 1
+    return d * d - len(pivots)
+
+
 def test_direct_sum_doubles_into_a_matrix_commutant():
     rs = build("C", 2)
     t = gamma_with_pairings(rs, ("1", "1/2"))
@@ -752,11 +791,13 @@ def test_direct_sum_doubles_into_a_matrix_commutant():
     exact_doubled = repn.direct_sum(exact, exact)
     assert repn.commutant_dim(exact_doubled) == 4
     assert repn.commutant_dim(exact_doubled, method="exact") == 4
+    assert dense_exact_commutant(exact_doubled) == 4
 
     rs1 = build("A", 1)
     line = repn.principal_series(gamma_with_pairings(rs1, ("2",)))
     doubled_line = repn.direct_sum(line, line)
     assert repn.commutant_dim(doubled_line, method="exact") == 4
+    assert dense_exact_commutant(doubled_line) == 4
     assert repn.commutant_dim(doubled_line) == 4
     assert dense_commutant(doubled_line) == 4
 
@@ -799,14 +840,17 @@ def test_block_commutant_matches_the_dense_solve_on_a3(gamma, tagged, ell,
 H = Fraction(1, 2)
 
 
-@pytest.mark.parametrize("label,rank,gamma,expected", [
-    # the principal_exact benchmark weights: regular, on a Z(t) wall, P(t)
-    # nonempty
+# the principal_exact benchmark weights: regular, on a Z(t) wall, P(t)
+# nonempty
+DENSE_SOLVE_WEIGHTS = [
     ("A", 2, (0, H, 3), 1), ("A", 2, (0, 0, 3), 1), ("A", 2, (0, 1, 4), 1),
     ("B", 2, (5 * H, H), 1), ("B", 2, (2, 0), 1), ("B", 2, (2, 1), 1),
     ("C", 2, (3, 1), 1), ("C", 2, (2, 0), 1), ("C", 2, (2, 1), 1),
     ("B", 2, (0, 1), 2), ("G", 2, (0, 1, 2), 2),
-])
+]
+
+
+@pytest.mark.parametrize("label,rank,gamma,expected", DENSE_SOLVE_WEIGHTS)
 def test_block_commutant_matches_the_dense_solves(label, rank, gamma,
                                                   expected):
     t = weight(build(label, rank), gamma)
@@ -815,8 +859,36 @@ def test_block_commutant_matches_the_dense_solves(label, rank, gamma,
     assert repn.commutant_dim(exact) == expected
     assert repn.commutant_dim(numeric) == expected
     assert dense_commutant(exact) == dense_commutant(numeric) == expected
-    if label == "A":   # exact elimination takes seconds on B2, C2 and G2
-        assert repn.commutant_dim(exact, method="exact") == expected
+    assert repn.commutant_dim(exact, method="exact") == expected
+    if exact.dim <= 8:
+        assert dense_exact_commutant(exact) == expected
+
+
+@pytest.mark.parametrize("label,rank,gamma", [
+    (label, rank, gamma) for label, rank, gamma, _ in DENSE_SOLVE_WEIGHTS])
+def test_weight_basis_is_the_generalized_weight_basis(label, rank, gamma):
+    # back-substitution against the elimination of generalized_weight_basis:
+    # both give the one basis that is 1 at its own index and 0 at the others
+    rep = repn.principal_series(weight(build(label, rank), gamma))
+    ops = rep._ops
+    for t in dict.fromkeys(rep.basis_weights):
+        group = [k for k, bw in enumerate(rep.basis_weights) if bw == t]
+        vectors = repn._weight_basis(rep.x_cols, group, ops)
+        dense = [tuple(v.get(r, ops.zero()) for r in range(rep.dim))
+                 for v in vectors]
+        assert dense == list(mat_transpose(
+            repn.generalized_weight_basis(rep, t)))
+
+
+@pytest.mark.parametrize("gamma,expected", [((0, 1, 0, 1), 3),
+                                            ((0, 0, 1, 1), 1)])
+def test_exact_block_commutant_on_a3(gamma, expected):
+    t = weight(build("A", 3, lattice_mode="GL"), gamma)
+    exact = repn.principal_series(t)
+    assert exact.backend == "exact" and exact.dim == 24
+    assert repn.commutant_dim(exact, method="exact") == expected
+    assert repn.commutant_dim(exact) == expected
+    assert dense_commutant(exact) == expected
 
 
 def test_triangular_exact_module_is_solved_in_its_weight_basis():
@@ -827,6 +899,18 @@ def test_triangular_exact_module_is_solved_in_its_weight_basis():
     rep = repn.ModuleRep.from_matrices(rs, range(2), [x], [x], verify=False)
     assert repn.commutant_dim(rep) == 2
     assert repn.commutant_dim(rep, method="exact") == 2
+    assert dense_exact_commutant(rep) == 2
+
+
+def test_exact_commutant_needs_upper_triangular_x():
+    # X lower triangular: the dense oracle still solves it, the block route
+    # has no weight basis to work in
+    rs = build("A", 1)
+    x = ((Q, ExactScalar.zero()), (ExactScalar.one(), 1 / Q))
+    rep = repn.ModuleRep.from_matrices(rs, range(2), [x], [x], verify=False)
+    assert dense_exact_commutant(rep) == 2
+    with pytest.raises(UnsupportedType, match="upper triangular"):
+        repn.commutant_dim(rep, method="exact")
 
 
 @pytest.mark.parametrize("spread", [0.0, 1e-12, 1e-9])
@@ -909,6 +993,20 @@ def test_from_matrices_needs_one_basis_weight_per_basis_vector(count):
                                      weight=rep.weight, basis_weights=weights)
 
 
+@pytest.mark.parametrize("backend", ["exact", "numeric"])
+def test_from_matrices_checks_basis_weights_against_the_x_diagonals(backend):
+    # reversed, the weights still partition the basis as the diagonals do,
+    # so only the characters themselves tell them apart
+    rep = repn.principal_series(weight(build("A", 2), (0, H, 3)),
+                                backend=backend)
+    rebuild = lambda weights: repn.ModuleRep.from_matrices(
+        rep.rs, rep.basis, rep.t_mats, rep.x_mats, weight=rep.weight,
+        basis_weights=weights, backend=backend, q0=rep.q0)
+    assert rebuild(rep.basis_weights).report["all_pass"]
+    with pytest.raises(ValueError, match="does not match the X diagonals"):
+        rebuild(rep.basis_weights[::-1])
+
+
 def test_from_matrices_needs_a_concrete_backend():
     with pytest.raises(ValueError, match="'exact' or 'numeric'"):
         BACKEND_BUILDERS["from_matrices"]("auto")
@@ -931,15 +1029,23 @@ def test_structural_commutant_has_no_size_limit():
     # 100 linked pairs and 1 lone vertex
     rs = build("A", 1)
     d = 201
+    linked = lambda r, k: r == k or (r < 200 and k == r ^ 1)
     x = tuple(tuple(complex(k + 1) if r == k else 0j for k in range(d))
               for r in range(d))
-    tm = tuple(tuple(1 + 0j if r == k or (r < 200 and k == r ^ 1) else 0j
-                     for k in range(d)) for r in range(d))
+    tm = tuple(tuple(1 + 0j if linked(r, k) else 0j for k in range(d))
+               for r in range(d))
     big = repn.ModuleRep.from_matrices(rs, range(d), [tm], [x],
                                        backend="numeric", verify=False)
     assert repn.commutant_dim(big) == 101
-    with pytest.raises(TooLarge):
-        repn.commutant_dim(big, method="exact")
+    # the exact twin, with X diagonal at q^(k+1)
+    zero, one = ExactScalar.zero(), ExactScalar.one()
+    x = tuple(tuple(Q ** (k + 1) if r == k else zero for k in range(d))
+              for r in range(d))
+    tm = tuple(tuple(one if linked(r, k) else zero for k in range(d))
+               for r in range(d))
+    twin = repn.ModuleRep.from_matrices(rs, range(d), [tm], [x],
+                                        verify=False)
+    assert repn.commutant_dim(twin, method="exact") == 101
 
 
 def test_exact_commutant_refuses_a_numeric_module():
@@ -954,6 +1060,7 @@ def test_commutant_methods_agree_on_a_simple_module():
     t = gamma_with_pairings(rs, ("2",))
     rep = repn.principal_series(t)
     assert repn.commutant_dim(rep, method="exact") == 1
+    assert dense_exact_commutant(rep) == 1
     numeric = repn.principal_series(t, backend="numeric")
     assert repn.commutant_dim(numeric) == 1
 

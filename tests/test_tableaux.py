@@ -14,7 +14,9 @@ import pytest
 from affine_hecke import regions as rg
 from affine_hecke import repn
 from affine_hecke import tableaux as tb
-from affine_hecke.errors import BadCap, HeckeError, TooLarge
+from affine_hecke.errors import (BadCap, CaseMismatch, HeckeError,
+                                 JCrossesPages, NotContained, NotStandard,
+                                 TooLarge)
 from affine_hecke.rootsys import build
 from affine_hecke.scalars import ExactScalar
 from affine_hecke.weights import weight
@@ -143,6 +145,32 @@ def test_wrap_flags_name_the_pairs_across_the_period():
     assert cfg.wrap_flags == {(1, 5): "NW", (2, 5): "NW"}
 
 
+@pytest.mark.parametrize("lam,mu,match", [
+    ((2, -1), (), "partitions"), ((2,), (1, 1), "partitions"),
+    ((1, 2), (), "lambda must be weakly decreasing"),
+    ((3, 3), (1, 2), "mu must be weakly decreasing"),
+    ((2, 1), (3,), "not contained"), ((2, 1), (2, 1), "no boxes"),
+])
+def test_a_shape_that_is_not_skew_is_refused(lam, mu, match):
+    with pytest.raises(NotContained, match=match):
+        tb.skew_to_region(lam, mu)
+
+
+def test_a_filling_that_is_not_standard_is_refused():
+    cfg = tb.region_to_configuration(*tb.skew_to_region((2, 1)))
+    with pytest.raises(NotStandard, match="one entry per box"):
+        tb.filling_from_entries(cfg, [1, 2])
+    with pytest.raises(NotStandard, match="violates standardness"):
+        tb.filling_to_word(cfg, (3, 2, 1))
+    with pytest.raises(NotStandard, match="only standard fillings"):
+        tb.conjugate_filling(cfg, (3, 2, 1))
+
+
+def test_a_root_of_j_across_pages_is_refused():
+    with pytest.raises(JCrossesPages):
+        tb.build_book((0, Fraction(1, 2)), [(-1, 1)])
+
+
 H = Fraction(1, 2)
 T = Fraction(1, 3)
 TYPEC_WEIGHTS = {
@@ -170,6 +198,17 @@ def test_typec_fillings_match_chambers(case):
             report = tb.verify_bijection(cfg)
             assert report.ok, (gamma, J, report.witness)
     assert accepted == {"beta": 31, "half": 62, "zero": 40}[case]
+
+
+@pytest.mark.parametrize("gamma,case,match", [
+    ((0, 1), "gamma", "unknown case"),
+    ((0, 1), "half", "case 'zero', not 'half'"),
+    ((H, 1), "half", "one fractional part"),
+])
+def test_typec_configuration_refuses_the_wrong_case(gamma, case, match):
+    t = weight(build("C", 2), gamma)
+    with pytest.raises(CaseMismatch, match=match):
+        tb.typec_configuration(t, (), case)
 
 
 @pytest.mark.parametrize("ell", [3, 4, 5])
