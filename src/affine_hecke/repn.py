@@ -5,7 +5,10 @@ dict of the nonzero entries of the image of basis vector k. In both bases
 built here a T column has at most two entries. Products, shifts and powers
 apply the columns (_apply), and solves go through rootsys elimination. The
 dense row tuples t_mats and x_mats are a view, built once from the columns,
-for the numpy routes and describe().
+for the numpy routes and describe(). Under upper triangular X,
+_weight_basis is the one basis of each generalized weight space: weight
+spaces, the commutant and tau operators read coordinates in it
+(_coordinates) and rank them with _nullity.
 
 Entries live over the scalars object each module holds, which gives its
 backend, q0, tolerance (also what counts as a zero entry), q-powers and weight
@@ -41,7 +44,7 @@ from .errors import (DivisionByZero, EmptyRegion, MixedCosetExact, NotRegular,
                      UnsupportedType)
 from .regions import LocalRegion, chamber_set_pruned, is_skew
 from .rootsys import (RootSystem, WeylElt, _rank_nullspace, _solve_in_span,
-                      mat_transpose, solve_linear, vec, vec_dot, vec_neg)
+                      vec, vec_dot, vec_neg)
 from .scalars import ExactScalar, near
 from .weights import TRIVIAL_TAG, Weight
 
@@ -238,13 +241,6 @@ def _is_diagonal(cols) -> bool:
     return all(r == c for c, col in enumerate(cols) for r in col)
 
 
-def _shifted(cols, c, ops) -> tuple:
-    """Columns of c - A for a column matrix A and a scalar c."""
-    zero = ops.zero()
-    return tuple({**{r: -x for r, x in col.items()}, k: c - col.get(k, zero)}
-                 for k, col in enumerate(cols))
-
-
 def _inverse(rows, ops) -> tuple:
     """The sparse columns of the inverse of a square matrix given by rows."""
     n = len(rows)
@@ -254,25 +250,6 @@ def _inverse(rows, ops) -> tuple:
     except ValueError:
         raise ValueError("matrix is singular") from None
     return _sparse_columns(_dense_to_columns(inv, n), n, ops)
-
-
-# (root system key, mu) -> integer lattice coordinates of mu, None off the
-# lattice; shared by every module over that root system
-_COORDS_CACHE: dict = {}
-
-
-def _lattice_coords(rs: RootSystem, mu):
-    """Integer coordinates of mu over the lattice generators."""
-    key = (rs.key, vec(mu))
-    if key not in _COORDS_CACHE:
-        coeffs = solve_linear(mat_transpose(rs.lattice_generators()), key[1])
-        _COORDS_CACHE[key] = (
-            None if coeffs is None or any(c.denominator != 1 for c in coeffs)
-            else tuple(int(c) for c in coeffs))
-    coords = _COORDS_CACHE[key]
-    if coords is None:
-        raise ValueError(f"{mu} is not in the lattice")
-    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +268,7 @@ class ModuleRep:
 
     __slots__ = ("rs", "kind", "basis", "basis_weights", "t_cols", "x_cols",
                  "weight", "region", "report", "_ops", "_index", "_dense",
-                 "_xpow_cache", "_xinv_cache", "_gen_basis_cache")
+                 "_xpow_cache", "_xinv_cache")
 
     def __init__(self, rs: RootSystem, kind: str, basis, t_cols, x_cols,
                  scalars, weight: Weight | None = None, basis_weights=None,
@@ -318,7 +295,6 @@ class ModuleRep:
         self._dense = None
         self._xpow_cache = {}
         self._xinv_cache = {}
-        self._gen_basis_cache = {}
 
     @classmethod
     def from_matrices(cls, rs: RootSystem, basis, t_mats, x_mats, *,
@@ -384,7 +360,10 @@ class ModuleRep:
         cols = self._xpow_cache.get(mu)
         if cols is None:
             ops = self._ops
-            for k, c in enumerate(_lattice_coords(self.rs, mu)):
+            coords = self.rs.lattice_coords(mu)
+            if coords is None:
+                raise ValueError(f"{mu} is not in the lattice")
+            for k, c in enumerate(coords):
                 base = self.x_cols[k] if c > 0 else self._x_inverse(k)
                 for _ in range(abs(c)):
                     cols = base if cols is None else tuple(
@@ -674,7 +653,9 @@ def weight_decomposition(rep: ModuleRep) -> WeightSpaceDecomp:
     of the second kind are read at q0 through a numeric copy. A group's size
     is its generalized dimension. A group of one is a weight line; for a
     larger one the plain dimension is the joint kernel of the X_g - chi_g,
-    by exact elimination or a guarded singular value count.
+    read in the group's _weight_basis when X is triangular, and ranked by
+    _nullity. An X leaving a generalized weight space, as X that do not
+    commute do, raises NumericIllConditioned.
     """
     ops = rep._ops
     d = rep.dim
@@ -703,16 +684,18 @@ def weight_decomposition(rep: ModuleRep) -> WeightSpaceDecomp:
             # commuting operators share an eigenvector in each nonzero
             # generalized weight space, so a line is a weight line
             plain = 1
-        elif ops.exact:
+        elif triangular:
+            space = _weight_basis(rep.x_cols, group, ops)
             rows = [row for m, c in zip(rep.x_cols, key)
-                    for row in _columns_to_dense(_shifted(m, c, ops), d, ops)]
-            plain = len(_rank_nullspace(rows, ops)[1])
+                    for row in _coordinate_matrix(
+                        [_add_scaled(_apply(m, v, ops), -c, v)
+                         for v in space.values()], space, ops)]
+            plain = _nullity(rows, len(group), ops, tol)
         else:
-            import numpy as np
-            eye = np.eye(d)
-            plain = _numeric_nullity(
-                np.vstack([np.asarray(m, dtype=complex) - c * eye
-                           for m, c in zip(rep.x_mats, key)]), tol)
+            rows = [[x - c if r == k else x for k, x in enumerate(row)]
+                    for m, c in zip(rep.x_mats, key)
+                    for r, row in enumerate(m)]
+            plain = _nullity(rows, d, ops, tol)
         labels.append(label)
         spaces[label] = (plain, len(group))
     total = sum(v[1] for v in spaces.values())
@@ -786,6 +769,15 @@ def _character_groups(keys, exact: bool, tol: float) -> list:
                 raise NumericIllConditioned(
                     f"weight clusters separated by only {gap:.3g}")
     return groups
+
+
+def _nullity(rows, n: int, ops, tol: float) -> int:
+    """Nullity of rows of n entries: exact elimination or _numeric_nullity."""
+    if not rows:
+        return n
+    if ops.exact:
+        return n - _rank_nullspace(rows, ops)[0]
+    return _numeric_nullity(rows, tol)
 
 
 def _numeric_nullity(rows, tol: float) -> int:
@@ -1010,11 +1002,11 @@ def _block_commutant(rep: ModuleRep, tol: float) -> int:
     ops = rep._ops
     d = rep.dim
     groups, _ = _weight_groups(rep, tol)
-    basis, owner, pos = [None] * d, [0] * d, [0] * d
+    basis, owner, pos = {}, [0] * d, [0] * d
     for a, group in enumerate(groups):
-        vectors = _weight_basis(rep.x_cols, group, ops)
-        for p, (k, v) in enumerate(zip(group, vectors)):
-            basis[k], owner[k], pos[k] = v, a, p
+        basis.update(_weight_basis(rep.x_cols, group, ops))
+        for p, k in enumerate(group):
+            owner[k], pos[k] = a, p
     sizes = [len(group) for group in groups]
     parent = list(range(len(groups)))
 
@@ -1026,7 +1018,7 @@ def _block_commutant(rep: ModuleRep, tol: float) -> int:
 
     entries = []   # (generator, a, b, p, q, entry (p, q) of G_ab)
     for g, gen in enumerate(rep.t_cols + rep.x_cols):
-        for s, v in enumerate(basis):
+        for s, v in basis.items():
             image = gen[s] if len(v) == 1 else _apply(gen, v, ops)
             for r, c in _coordinates(image, basis, ops).items():
                 a, b = owner[r], owner[s]
@@ -1058,22 +1050,18 @@ def _block_commutant(rep: ModuleRep, tol: float) -> int:
         for i in range(ma):   # (C_a G_ab)[i][q] takes c C_a[i][p]
             add((g, a, b, i, q), offset[find(a)] + i * ma + p, -c)
     system = [row for row in rows.values() if not all(map(ops.is_zero, row))]
-    if not system:
-        return n
-    if ops.exact:
-        return n - _rank_nullspace(system, ops)[0]
-    return _numeric_nullity(system, tol)
+    return _nullity(system, n, ops, tol)
 
 
-def _weight_basis(x_cols, group, ops) -> list:
-    """The basis v_s (s in group, sparse) of the generalized weight space of
-    commuting upper triangular X whose diagonals share one joint character
-    chi at the indices of group: v_s is 1 at s, 0 below s and 0 at the rest
-    of group. It exists and is unique, as reading off the coordinates in
-    group maps the space one to one onto their span. v_s is solved from row
-    s - 1 upward: (X_g - chi_g) v_s has coordinate c_u on v_u at a row u of
-    group, and row j of (X_g - chi_g) v_s = sum c_u v_u fixes v_s[j] at a
-    row j off group, for the generator g with the widest gap X_g[j][j] - chi_g.
+def _weight_basis(x_cols, group, ops) -> dict:
+    """The basis {s: v_s} (s in group, sparse) of the generalized weight space
+    of commuting upper triangular X whose diagonals share one joint character
+    chi at the indices of group: v_s is 1 at s, 0 below s and 0 at the rest of
+    group. It exists and is unique, as reading off the coordinates in group
+    maps the space one to one onto their span. v_s is solved from row s - 1
+    upward: (X_g - chi_g) v_s has coordinate c_u on v_u at a row u of group,
+    and row j of (X_g - chi_g) v_s = sum c_u v_u fixes v_s[j] at a row j off
+    group, for the generator g with the widest gap X_g[j][j] - chi_g.
     """
     members = set(group)
     zero = ops.zero()
@@ -1106,12 +1094,13 @@ def _weight_basis(x_cols, group, ops) -> list:
                     _add_scaled(a, x, m[j])
                     low = min([low, *m[j]])
         basis[s] = v
-    return [basis[s] for s in group]
+    return basis
 
 
-def _coordinates(y: dict, basis, ops) -> dict:
+def _coordinates(y: dict, basis: dict, ops) -> dict:
     """Coordinates of the sparse vector y over sparse vectors basis[r] that
-    are 1 at r and 0 below r, by back-substitution from the last row up."""
+    are 1 at r and 0 below r, by back-substitution from the last row up;
+    NumericIllConditioned when y has a nonzero coordinate outside basis."""
     y = dict(y)
     heap = [-r for r in y]
     heapq.heapify(heap)
@@ -1120,13 +1109,25 @@ def _coordinates(y: dict, basis, ops) -> dict:
         r = -heapq.heappop(heap)
         c = y[r]
         if not ops.is_zero(c):
+            v = basis.get(r)
+            if v is None:
+                raise NumericIllConditioned(
+                    f"a vector leaves the span of the basis at row {r}")
             out[r] = c
-            if len(basis[r]) > 1:   # else basis[r] is e_r: nothing to take
-                for k in basis[r]:
+            if len(v) > 1:   # else v is e_r: nothing to take
+                for k in v:
                     if k not in y:
                         heapq.heappush(heap, -k)
-                _add_scaled(y, -c, basis[r])
+                _add_scaled(y, -c, v)
     return out
+
+
+def _coordinate_matrix(vectors, basis: dict, ops) -> tuple:
+    """Columns of coordinates over basis, one per vector, rows in key order."""
+    pos = {r: p for p, r in enumerate(basis)}
+    return _columns_to_dense(
+        [{pos[r]: c for r, c in _coordinates(y, basis, ops).items()}
+         for y in vectors], len(basis), ops)
 
 
 def _numeric_commutant(rep: ModuleRep, tol: float) -> int:
@@ -1155,35 +1156,26 @@ def _numeric_commutant(rep: ModuleRep, tol: float) -> int:
 # tau operators on generalized weight spaces
 # ---------------------------------------------------------------------------
 
-def generalized_weight_basis(rep: ModuleRep, t: Weight):
-    """Column basis (d x m matrix) of the generalized weight space at t."""
-    cached = rep._gen_basis_cache.get(t)
-    if cached is not None:
-        return cached
+def _weight_space(rep: ModuleRep, t: Weight) -> dict:
+    """The _weight_basis {s: v_s} of the generalized weight space at t, over
+    the positions whose basis weight is t."""
     if rep.basis_weights is None:
         raise ValueError("module lacks per-basis weight data")
-    positions = [k for k, bw in enumerate(rep.basis_weights) if bw == t]
-    if not positions:
+    group = [k for k, bw in enumerate(rep.basis_weights) if bw == t]
+    if not group:
         raise ValueError("weight does not occur in this module")
-    m = len(positions)
-    ops = rep._ops
-    d = rep.dim
-    ev = ops.at(t).ev
-    rows = []
-    for g, xm in zip(rep.rs.lattice_generators(), rep.x_cols):
-        # (chi_g - X_g)^m, one factor applied to each column at a time
-        shifted = power = _shifted(xm, ev(g), ops)
-        for _ in range(m - 1):
-            power = tuple(_apply(shifted, col, ops) for col in power)
-        rows.extend(_columns_to_dense(power, d, ops))
-    _, null = _rank_nullspace(rows, ops)
-    if len(null) != m:
+    if not all(map(_is_upper, rep.x_cols)):
+        raise UnsupportedType("weight spaces need upper triangular X")
+    if group not in _weight_groups(rep, RANK_TOL)[0]:
         raise NumericIllConditioned(
-            f"generalized space came out {len(null)}-dimensional, "
-            f"expected {m}")
-    basis = mat_transpose(null)
-    rep._gen_basis_cache[t] = basis
-    return basis
+            "diagonal clustering disagrees with the stored weights")
+    return _weight_basis(rep.x_cols, group, rep._ops)
+
+
+def generalized_weight_basis(rep: ModuleRep, t: Weight):
+    """Column basis (d x m matrix) of the generalized weight space at t, the
+    vectors of _weight_space; UnsupportedType unless X is upper triangular."""
+    return _columns_to_dense(_weight_space(rep, t).values(), rep.dim, rep._ops)
 
 
 @dataclass(frozen=True)
@@ -1208,32 +1200,31 @@ def tau_operator(i: int, t: Weight, rep: ModuleRep) -> TauOperator:
     """The intertwiner from the t space to the reflected one.
 
     Only defined when t is off the reflection wall for the i-th simple root;
-    UndefinedTau otherwise.
+    UndefinedTau otherwise, and UnsupportedType unless X is upper triangular.
     """
     rs = rep.rs
     alpha = rs.simple_roots[i]
     if alpha in t.zp_sets()[0]:
         raise UndefinedTau(
             f"weight takes value 1 on X^{alpha}; no intertwiner there")
-    ops = rep._ops
-    source = generalized_weight_basis(rep, t)
+    ops, d = rep._ops, rep.dim
+    source = _weight_space(rep, t)
     target_weight = t.weyl_act(rs.simple_reflection(i))
-    target = generalized_weight_basis(rep, target_weight)
-    d = rep.dim
-    source_cols = [dict(enumerate(col)) for col in mat_transpose(source)]
+    target = _weight_space(rep, target_weight)
+    vectors = list(source.values())
     # tau_i = T_i - (q - q^-1) (1 - X^-alpha)^-1, the inverse taken in source
     # coordinates, where 1 - X^-alpha keeps the generalized weight space
-    a = _shifted(rep._x_power_columns(vec_neg(alpha)), ops.one(), ops)
-    images = _columns_to_dense([_apply(a, v, ops) for v in source_cols], d,
-                               ops)
-    c_inv = _inverse(_solve_in_span(source, images, ops), ops)
+    x_neg = rep._x_power_columns(vec_neg(alpha))
+    c_inv = _inverse(_coordinate_matrix(
+        [_add_scaled(dict(v), -ops.one(), _apply(x_neg, v, ops))
+         for v in vectors], source, ops), ops)
     action = [_add_scaled(_apply(rep.t_cols[i], v, ops), -ops.qm,
-                          _apply(source_cols, col, ops))
-              for v, col in zip(source_cols, c_inv)]
-    matrix = _solve_in_span(target, _columns_to_dense(action, d, ops), ops)
+                          _apply(vectors, col, ops))
+              for v, col in zip(vectors, c_inv)]
     return TauOperator(rep=rep, index=i, source=t, target=target_weight,
-                       source_basis=source, target_basis=target,
-                       matrix=matrix)
+                       source_basis=_columns_to_dense(vectors, d, ops),
+                       target_basis=_columns_to_dense(target.values(), d, ops),
+                       matrix=_coordinate_matrix(action, target, ops))
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,7 @@ class RootSystem:
         self._compute_weights()
         self.key = (type_label, rank, lattice_mode)
         self._element_cache: dict = {}
+        self._coords_cache: dict = {}
         self._all_elements: tuple | None = None
         self._identity = self._elt(tuple(range(len(self.roots))))
         self._simple_reflections = tuple(self._elt(p) for p in simple_perms)
@@ -414,22 +415,21 @@ class RootSystem:
                          for i in range(n))
         return self.fundamental_weights
 
-    def in_lattice(self, x) -> bool:
-        if self.lattice_mode == "GL":
-            return all(Fraction(c).denominator == 1 for c in x)
-        coeffs = self.to_weight_basis(x)
-        return coeffs is not None and all(c.denominator == 1 for c in coeffs)
-
-    def to_weight_basis(self, x):
-        """Coordinates in the fundamental-weight basis, or None if outside their span."""
-        rows = mat_transpose(self.fundamental_weights)
-        coeffs = solve_linear(rows, x)
-        if coeffs is None:
+    def lattice_coords(self, x):
+        """Integer coordinates of x over lattice_generators(), or None off
+        the lattice: x itself on GL, else solved once per vector."""
+        key = tuple(x)
+        if len(key) != self.dim:
             return None
-        back = vec([0] * self.dim)
-        for c, w in zip(coeffs, self.fundamental_weights):
-            back = vec_add(back, vec_scale(c, w))
-        return coeffs if back == tuple(Fraction(c) for c in x) else None
+        if self.lattice_mode == "P" and key not in self._coords_cache:
+            self._coords_cache[key] = solve_linear(
+                mat_transpose(self.lattice_generators()), key)
+        coeffs = key if self.lattice_mode == "GL" else self._coords_cache[key]
+        coords = None if coeffs is None else tuple(map(int, coeffs))
+        return coords if coords == coeffs else None
+
+    def in_lattice(self, x) -> bool:
+        return self.lattice_coords(x) is not None
 
     def is_dominant(self, x) -> bool:
         return all(vec_dot(x, a) >= 0 for a in self.simple_roots)

@@ -410,6 +410,14 @@ def _render_symmetric_page(nodes, content_of, pairs, chains) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _whole(values, error, what: str) -> tuple:
+    """values as ints; error when one of them is not a whole number."""
+    values = tuple(values)
+    if any(int(x) != x for x in values):
+        raise error(f"{what} must be whole numbers: {values}")
+    return tuple(map(int, values))
+
+
 def skew_to_region(lam, mu=(), placement=0):
     """Weight and J for the skew shape lam/mu drawn with the given placement
     (the content of a box is column - row + placement).
@@ -419,8 +427,8 @@ def skew_to_region(lam, mu=(), placement=0):
     diagonals puts its root into J exactly when the later box sits weakly
     west (hence strictly north) of the earlier one.
     """
-    lam = tuple(int(a) for a in lam)
-    mu = tuple(int(a) for a in mu)
+    lam = _whole(lam, NotContained, "parts")
+    mu = _whole(mu, NotContained, "parts")
     mu = mu + (0,) * (len(lam) - len(mu))
     if any(a < 0 for a in lam + mu) or len(mu) > len(lam):
         raise NotContained("shapes must be partitions with mu inside lambda")
@@ -708,7 +716,7 @@ def filling_from_entries(config: PlacedConfiguration, entries) -> StandardFillin
     """Wrap raw entries as a filling; for type C, entries may cover just the
     positive boxes (the negative half is forced by p(-b) = -p(b))."""
     indices = tuple(b.index for b in config.boxes)
-    entries = tuple(int(e) for e in entries)
+    entries = _whole(entries, NotStandard, "entries")
     if config.mode == "typec" and len(entries) == config.n:
         by_idx = dict(zip([i for i in indices if i > 0], entries))
         entries = tuple(by_idx[i] if i > 0 else -by_idx[-i] for i in indices)

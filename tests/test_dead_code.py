@@ -131,3 +131,18 @@ def _is_dense_view_read(node):
 
 def test_the_dense_view_is_read_in_four_places():
     assert _reads_in_src(_is_dense_view_read) == DENSE_VIEW_READERS
+
+
+# Every rank in repn is taken by _nullity, apart from the invertibility of a
+# tau matrix and the dense numeric commutant.
+RANK_READERS = {"repn.py:_nullity", "repn.py:is_invertible",
+                "repn.py:_numeric_commutant"}
+
+
+def _is_rank_call(node):
+    return (isinstance(node, ast.Name)
+            and node.id in ("_rank_nullspace", "_numeric_nullity"))
+
+
+def test_ranks_go_through_one_helper():
+    assert _reads_in_src(_is_rank_call) == RANK_READERS

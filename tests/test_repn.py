@@ -22,8 +22,8 @@ from affine_hecke.errors import (
     UndefinedTau,
     UnsupportedType,
 )
-from affine_hecke.rootsys import (build, mat_transpose, solve_linear,
-                                   vec_add, vec_neg, vec_scale)
+from affine_hecke.rootsys import (_rank_nullspace, build, mat_transpose,
+                                   solve_linear, vec_add, vec_neg, vec_scale)
 from affine_hecke.scalars import ExactScalar, near
 from affine_hecke.weights import Weight, height_character, make_tag, weight
 
@@ -113,7 +113,7 @@ def dense_failures(rep):
 
     def x_power(mu):
         out = eye
-        for x, c in zip(xs, repn._lattice_coords(rs, mu)):
+        for x, c in zip(xs, rs.lattice_coords(mu)):
             out = out @ np.linalg.matrix_power(x, c)
         return out
 
@@ -864,20 +864,137 @@ def test_block_commutant_matches_the_dense_solves(label, rank, gamma,
         assert dense_exact_commutant(exact) == expected
 
 
+def stacked_power_nullspace(rep, t):
+    """The nullspace of the stacked (chi_g - X_g)^m, m the multiplicity of t,
+    by dense elimination: the generalized weight space at t, as an oracle for
+    the back-substitution of _weight_basis."""
+    ops = rep._ops
+    ev = ops.at(t).ev
+    eye = mat_id(rep.dim, ops)
+    rows = []
+    for g, x in zip(rep.rs.lattice_generators(), rep.x_mats):
+        shifted = power = mat_sub(mat_scale(ev(g), eye), x)
+        for _ in range(rep.basis_weights.count(t) - 1):
+            power = mat_mul(shifted, power, ops)
+        rows.extend(power)
+    return list(_rank_nullspace(rows, ops)[1])
+
+
 @pytest.mark.parametrize("label,rank,gamma", [
     (label, rank, gamma) for label, rank, gamma, _ in DENSE_SOLVE_WEIGHTS])
 def test_weight_basis_is_the_generalized_weight_basis(label, rank, gamma):
-    # back-substitution against the elimination of generalized_weight_basis:
-    # both give the one basis that is 1 at its own index and 0 at the others
+    # back-substitution against the elimination of the stacked powers: both
+    # give the one basis that is 1 at its own index and 0 at the others
     rep = repn.principal_series(weight(build(label, rank), gamma))
     ops = rep._ops
     for t in dict.fromkeys(rep.basis_weights):
         group = [k for k, bw in enumerate(rep.basis_weights) if bw == t]
         vectors = repn._weight_basis(rep.x_cols, group, ops)
+        assert list(vectors) == group
         dense = [tuple(v.get(r, ops.zero()) for r in range(rep.dim))
-                 for v in vectors]
+                 for v in vectors.values()]
+        assert dense == stacked_power_nullspace(rep, t)
         assert dense == list(mat_transpose(
             repn.generalized_weight_basis(rep, t)))
+
+
+def dense_plain_dimensions(rep):
+    """{weight: plain dimension} by the joint kernel of the dense X_g - chi_g
+    over all d columns: exact elimination, or singular values at RANK_TOL
+    times the largest; an oracle for weight_decomposition."""
+    ops = rep._ops
+    eye = mat_id(rep.dim, ops)
+    out = {}
+    for t in dict.fromkeys(rep.basis_weights):
+        ev = ops.at(t).ev
+        rows = [row for g, x in zip(rep.rs.lattice_generators(), rep.x_mats)
+                for row in mat_sub(x, mat_scale(ev(g), eye))]
+        if ops.exact:
+            out[t] = len(_rank_nullspace(rows, ops)[1])
+        else:
+            sv = np.linalg.svd(np.array(rows, dtype=complex), compute_uv=False)
+            out[t] = rep.dim - int(sum(sv > repn.RANK_TOL * sv[0]))
+    return out
+
+
+@pytest.mark.parametrize("backend", ["exact", "numeric"])
+@pytest.mark.parametrize("label,rank,mode,gamma", [
+    *((label, rank, "P", gamma) for label, rank, gamma, _ in
+      DENSE_SOLVE_WEIGHTS),
+    ("A", 3, "GL", (0, 0, 1, 1)), ("A", 3, "GL", (0, 1, 0, 1))])
+def test_plain_dimensions_are_the_dense_joint_kernels(label, rank, mode,
+                                                      gamma, backend):
+    t = weight(build(label, rank, lattice_mode=mode), gamma)
+    rep = repn.principal_series(t, backend=backend)
+    assert (repn.weight_decomposition(rep).dimensions()
+            == dense_plain_dimensions(rep))
+
+
+@pytest.mark.parametrize("rank,mode,gamma,ell,backend", [
+    (("A", 2), "P", ("2", "3"), None, "exact"),
+    (("B", 2), "P", (5 * H, H), None, "exact"),
+    (("A", 3), "GL", (0, 1, 2, 3), 4, "numeric"),
+    (("D", 4), "P", (4, 3, 2, 1), None, "numeric"),
+])
+def test_tau_basis_is_the_weight_basis_of_each_line(rank, mode, gamma, ell,
+                                                    backend):
+    # the intertwiner recursion and the back-substitution build the same
+    # vector of each weight line, 1 at its own index and 0 below it
+    rs = build(*rank, lattice_mode=mode)
+    t = (gamma_with_pairings(rs, gamma) if isinstance(gamma[0], str)
+         else weight(rs, gamma, None, ell))
+    rep = repn.principal_series(t, backend=backend)
+    ops = rep._ops
+    for w, vector in repn.tau_basis(rep).items():
+        k = rep._index[w]
+        line = repn._weight_basis(rep.x_cols, [k], ops)[k]
+        assert all(ops.eq(x, line.get(r, ops.zero()))
+                   for r, x in enumerate(vector))
+
+
+def test_weight_spaces_need_upper_triangular_x():
+    t = gamma_with_pairings(build("A", 1), ("2",))
+    twisted = lower_conjugate(repn.principal_series(t, backend="numeric"),
+                              lambda i, j: 1.0)
+    with pytest.raises(UnsupportedType, match="upper triangular"):
+        repn.generalized_weight_basis(twisted, t)
+    with pytest.raises(UnsupportedType, match="upper triangular"):
+        repn.tau_operator(0, t, twisted)
+
+
+def test_x_matrices_that_do_not_commute_are_refused():
+    # X_2 v_2 leaves the generalized weight space {0, 2} of X_1: with
+    # v_2 = e_2 - e_1 / (q^5 - q^2), (X_2 - q^3) v_2 is a multiple of e_1
+    rs = build("A", 1, lattice_mode="GL")
+    one, zero = ExactScalar.one(), ExactScalar.zero()
+    q = ExactScalar.q_power
+    x1 = ((q(2), zero, zero), (zero, q(5), one), (zero, zero, q(2)))
+    x2 = ((q(3), zero, zero), (zero, q(7), zero), (zero, zero, q(3)))
+    t1 = tuple(tuple(one if i == j else zero for j in range(3))
+               for i in range(3))
+    rep = repn.ModuleRep.from_matrices(rs, range(3), [t1], [x1, x2])
+    assert rep.report["x_commute"]["failures"] == ["(X_1, X_2)"]
+    with pytest.raises(NumericIllConditioned, match="leaves the span"):
+        repn.weight_decomposition(rep)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: repn.principal_series(weight(
+        build("A", 3, lattice_mode="GL"), (0, 1, 2, 3), None, 3)),
+    lambda: repn.principal_series(weight(build("C", 2), (1, 0))),
+])
+def test_weight_routines_leave_the_dense_view_unbuilt(make):
+    rep = make()
+    repn.weight_decomposition(rep)
+    repn.commutant_dim(rep)
+    for t in dict.fromkeys(rep.basis_weights):
+        repn.generalized_weight_basis(rep, t)
+        for i in range(rep.rs.rank):
+            try:
+                repn.tau_operator(i, t, rep)
+            except UndefinedTau:
+                pass
+    assert rep._dense is None
 
 
 @pytest.mark.parametrize("gamma,expected", [((0, 1, 0, 1), 3),

@@ -450,6 +450,31 @@ def test_lattice_membership():
     assert not a2.in_lattice(vec([1, 0, 0]))
 
 
+@pytest.mark.parametrize("label,rank,mode,x,coords", [
+    ("A", 2, "GL", (3, 0, -2), (3, 0, -2)),
+    ("A", 2, "GL", (Fraction(1, 2), 0, 0), None),
+    ("A", 2, "GL", (1, 2), None),
+    ("B", 3, "P", (Fraction(1, 2),) * 3, (0, 0, 1)),
+    ("B", 3, "P", (Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2)),
+     (0, 1, -1)),
+    ("B", 3, "P", (Fraction(1, 2), 0, 0), None),
+    ("C", 3, "P", (1, 2, 3), (1, 1, 1)),
+    ("C", 3, "P", (Fraction(1, 2),) * 3, None),
+    ("A", 2, "P", (1, -1, 0), (-2, 1)),
+    ("A", 2, "P", (1, 0, 0), None),
+])
+def test_lattice_coordinates(label, rank, mode, x, coords):
+    rs = build(label, rank, lattice_mode=mode)
+    assert rs.lattice_coords(x) == coords
+    assert rs.lattice_coords(vec(x)) == coords
+    assert rs.in_lattice(x) == (coords is not None)
+    if coords is not None:
+        total = vec([0] * rs.dim)
+        for c, g in zip(coords, rs.lattice_generators()):
+            total = tuple(a + c * b for a, b in zip(total, g))
+        assert total == vec(x)
+
+
 @pytest.mark.parametrize("label,rank,oracle", [
     ("A", 3, lambda v: sorted(v) == [-1, 0, 0, 1]),
     ("B", 2, lambda v: any(v) and max(map(abs, v)) == 1),

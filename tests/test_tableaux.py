@@ -156,6 +156,30 @@ def test_a_shape_that_is_not_skew_is_refused(lam, mu, match):
         tb.skew_to_region(lam, mu)
 
 
+@pytest.mark.parametrize("lam,mu", [((Fraction(5, 2),), ()),
+                                    ((2.5,), ()), ((2, 1), (0.5,))])
+def test_a_fractional_part_is_refused(lam, mu):
+    with pytest.raises(NotContained, match="whole numbers"):
+        tb.skew_to_region(lam, mu)
+
+
+def test_whole_parts_of_any_type_and_a_fractional_placement_are_kept():
+    assert (tb.skew_to_region((2.0, Fraction(1)), (Fraction(1),))
+            == tb.skew_to_region((2, 1), (1,)))
+    gamma, _ = tb.skew_to_region((2, 1), (), Fraction(1, 2))
+    assert gamma == (Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2))
+
+
+def test_a_fractional_entry_is_refused():
+    cfg = tb.region_to_configuration(*tb.skew_to_region((2, 1)))
+    for call in (tb.filling_from_entries, tb.validate_filling,
+                 tb.filling_to_word, tb.conjugate_filling):
+        with pytest.raises(NotStandard, match="whole numbers"):
+            call(cfg, (1.5, 2.2, 3.9))
+    assert (tb.filling_from_entries(cfg, (2.0, 1, Fraction(3))).entries
+            == (2, 1, 3))
+
+
 def test_a_filling_that_is_not_standard_is_refused():
     cfg = tb.region_to_configuration(*tb.skew_to_region((2, 1)))
     with pytest.raises(NotStandard, match="one entry per box"):
