@@ -3,12 +3,13 @@
 Each generator matrix is stored as sparse columns: column k is a {row: entry}
 dict of the nonzero entries of the image of basis vector k. In both bases
 built here a T column has at most two entries. Products, shifts and powers
-apply the columns (_apply), and solves go through rootsys elimination. The
-dense row tuples t_mats and x_mats are a view, built once from the columns,
-for the numpy routes and describe(). Under upper triangular X,
+apply the columns (_apply), and triangular solves, X^-1 and tau's
+(1 - X^-alpha)^-1 included, are one back-substitution (_coordinates).
+The dense row tuples t_mats and x_mats are a view, built once from the
+columns, for the numpy routes and describe(). Under upper triangular X,
 _weight_basis is the one basis of each generalized weight space: weight
-spaces, the commutant and tau operators read coordinates in it
-(_coordinates) and rank them with _nullity.
+spaces, the commutant and tau operators read coordinates in it and rank them
+with _nullity.
 
 Entries live over the scalars object each module holds, which gives its
 backend, q0, tolerance (also what counts as a zero entry), q-powers and weight
@@ -241,14 +242,23 @@ def _is_diagonal(cols) -> bool:
     return all(r == c for c, col in enumerate(cols) for r in col)
 
 
-def _inverse(rows, ops) -> tuple:
-    """The sparse columns of the inverse of a square matrix given by rows."""
-    n = len(rows)
-    ident = _columns_to_dense([{k: ops.one()} for k in range(n)], n, ops)
+def _inverse(cols, ops) -> tuple:
+    """The sparse columns of the inverse of a square matrix given by sparse
+    columns, DivisionByZero if it is singular: _coordinates when it is upper
+    triangular, as every builder's X is, else exact elimination or numpy."""
+    n, basis = len(cols), dict(enumerate(cols))
+    units = [{k: ops.one()} for k in range(n)]
+    if _is_upper(cols):
+        return tuple(_coordinates(e, basis, ops) for e in units)
+    rows = _columns_to_dense(cols, n, ops)
     try:
-        inv = _solve_in_span(rows, ident, ops)
-    except ValueError:
-        raise ValueError("matrix is singular") from None
+        if ops.exact:
+            inv = _solve_in_span(rows, _columns_to_dense(units, n, ops), ops)
+        else:
+            import numpy as np
+            inv = np.linalg.inv(np.array(rows, dtype=complex)).tolist()
+    except ValueError:   # numpy's LinAlgError is a ValueError
+        raise DivisionByZero("matrix is singular") from None
     return _sparse_columns(_dense_to_columns(inv, n), n, ops)
 
 
@@ -268,7 +278,7 @@ class ModuleRep:
 
     __slots__ = ("rs", "kind", "basis", "basis_weights", "t_cols", "x_cols",
                  "weight", "region", "report", "_ops", "_index", "_dense",
-                 "_xpow_cache", "_xinv_cache")
+                 "_xpow_cache")
 
     def __init__(self, rs: RootSystem, kind: str, basis, t_cols, x_cols,
                  scalars, weight: Weight | None = None, basis_weights=None,
@@ -294,7 +304,6 @@ class ModuleRep:
         self._index = {w: k for k, w in enumerate(self.basis)}
         self._dense = None
         self._xpow_cache = {}
-        self._xinv_cache = {}
 
     @classmethod
     def from_matrices(cls, rs: RootSystem, basis, t_mats, x_mats, *,
@@ -364,7 +373,11 @@ class ModuleRep:
             if coords is None:
                 raise ValueError(f"{mu} is not in the lattice")
             for k, c in enumerate(coords):
-                base = self.x_cols[k] if c > 0 else self._x_inverse(k)
+                base = self.x_cols[k]
+                if c < 0:   # X^-g is the cached power at -g
+                    neg = vec_neg(self.rs.lattice_generators()[k])
+                    base = (_inverse(base, ops) if neg == mu
+                            else self._x_power_columns(neg))
                 for _ in range(abs(c)):
                     cols = base if cols is None else tuple(
                         _apply(cols, col, ops) for col in base)
@@ -377,15 +390,6 @@ class ModuleRep:
         """Dense matrix of X^mu."""
         return _columns_to_dense(self._x_power_columns(mu), self.dim,
                                  self._ops)
-
-    def _x_inverse(self, k: int):
-        inv = self._xinv_cache.get(k)
-        if inv is None:
-            ops = self._ops
-            inv = _inverse(_columns_to_dense(self.x_cols[k], self.dim, ops),
-                           ops)
-            self._xinv_cache[k] = inv
-        return inv
 
     def describe(self) -> dict:
         def matrix(m):
@@ -599,7 +603,7 @@ def verify_relations(rep: ModuleRep) -> dict:
 
                 if not holds(lambda c: word((x[k], t[i]), c), rhs):
                     failures.append(label)
-            except (ValueError, ZeroDivisionError) as exc:
+            except (ValueError, ZeroDivisionError, DivisionByZero) as exc:
                 failures.append(f"{label}: {exc}")
     report["cross"] = {"checked": checked, "failures": failures}
 
@@ -659,11 +663,10 @@ def weight_decomposition(rep: ModuleRep) -> WeightSpaceDecomp:
     """
     ops = rep._ops
     d = rep.dim
-    tol = RANK_TOL
     triangular = all(map(_is_upper, rep.x_cols))
     if ops.exact and not triangular:
         return weight_decomposition(_specialized_copy(rep))
-    groups, keys = _weight_groups(rep, tol)
+    groups, keys = _weight_groups(rep)
 
     if triangular and rep.basis_weights is not None:
         by_weight = _group_equal(rep.basis_weights)
@@ -675,7 +678,7 @@ def weight_decomposition(rep: ModuleRep) -> WeightSpaceDecomp:
     for group in groups:
         key = keys[group[0]]
         if not triangular:
-            label = _match_weight_label(rep, key, tol)
+            label = _match_weight_label(rep, key)
         elif rep.basis_weights is not None:
             label = rep.basis_weights[group[0]]
         else:
@@ -690,12 +693,12 @@ def weight_decomposition(rep: ModuleRep) -> WeightSpaceDecomp:
                     for row in _coordinate_matrix(
                         [_add_scaled(_apply(m, v, ops), -c, v)
                          for v in space.values()], space, ops)]
-            plain = _nullity(rows, len(group), ops, tol)
+            plain = _nullity(rows, len(group), ops)
         else:
             rows = [[x - c if r == k else x for k, x in enumerate(row)]
                     for m, c in zip(rep.x_mats, key)
                     for r, row in enumerate(m)]
-            plain = _nullity(rows, d, ops, tol)
+            plain = _nullity(rows, d, ops)
         labels.append(label)
         spaces[label] = (plain, len(group))
     total = sum(v[1] for v in spaces.values())
@@ -704,7 +707,7 @@ def weight_decomposition(rep: ModuleRep) -> WeightSpaceDecomp:
     return WeightSpaceDecomp(dim=d, labels=tuple(labels), spaces=spaces)
 
 
-def _weight_groups(rep: ModuleRep, tol: float):
+def _weight_groups(rep: ModuleRep):
     """(groups, keys): directions grouped by joint X character, and keys[k]
     the character of direction k, one entry per X generator.
 
@@ -719,7 +722,7 @@ def _weight_groups(rep: ModuleRep, tol: float):
         zero = ops.zero()
         keys = [tuple(m[k].get(k, zero) for m in rep.x_cols)
                 for k in range(rep.dim)]
-        return _character_groups(keys, ops.exact, tol), keys
+        return _character_groups(keys, ops.exact), keys
     import numpy as np
     xs = np.array(rep.x_mats, dtype=complex)
     # 1 and the square roots of distinct primes are linearly independent over
@@ -730,10 +733,10 @@ def _weight_groups(rep: ModuleRep, tol: float):
     vecs = np.linalg.eig(sum(c * x for c, x in zip(coeffs, xs)))[1].T
     keys = [tuple(complex(v.conj() @ (x @ v) / (v.conj() @ v))
                   for x in xs) for v in vecs]
-    groups = _character_groups(keys, False, tol)
+    groups = _character_groups(keys, False)
     owner = {k: n for n, group in enumerate(groups) for k in group}
     cos = np.abs(vecs.conj() @ vecs.T)   # eig returns unit eigenvectors
-    if any(owner[i] != owner[j] for i, j in np.argwhere(cos > 1 - tol)):
+    if any(owner[i] != owner[j] for i, j in np.argwhere(cos > 1 - RANK_TOL)):
         raise NumericIllConditioned(
             "eigenvectors of distinct clusters are parallel: the X matrices "
             "have a Jordan block that the eigensolver split")
@@ -748,15 +751,15 @@ def _primes():
             yield p
 
 
-def _character_groups(keys, exact: bool, tol: float) -> list:
+def _character_groups(keys, exact: bool) -> list:
     """Indices grouped by joint character: equal keys when exact, else
-    clusters at tol whose first keys sit 10 tol apart."""
+    clusters at RANK_TOL whose first keys sit 10 RANK_TOL apart."""
     if exact:
         return _group_equal(keys)
     groups, reps = [], []
     for idx, key in enumerate(keys):
         for group, first in zip(groups, reps):
-            if all(near(x, y, tol) for x, y in zip(key, first)):
+            if all(near(x, y, RANK_TOL) for x, y in zip(key, first)):
                 group.append(idx)
                 break
         else:
@@ -765,23 +768,23 @@ def _character_groups(keys, exact: bool, tol: float) -> list:
     for a in range(len(reps)):
         for b in range(a + 1, len(reps)):
             gap = max(abs(x - y) for x, y in zip(reps[a], reps[b]))
-            if gap < 10 * tol:
+            if gap < 10 * RANK_TOL:
                 raise NumericIllConditioned(
                     f"weight clusters separated by only {gap:.3g}")
     return groups
 
 
-def _nullity(rows, n: int, ops, tol: float) -> int:
+def _nullity(rows, n: int, ops) -> int:
     """Nullity of rows of n entries: exact elimination or _numeric_nullity."""
     if not rows:
         return n
     if ops.exact:
         return n - _rank_nullspace(rows, ops)[0]
-    return _numeric_nullity(rows, tol)
+    return _numeric_nullity(rows)
 
 
-def _numeric_nullity(rows, tol: float) -> int:
-    """Column count minus the rank at tol times the top singular value;
+def _numeric_nullity(rows) -> int:
+    """Column count minus the rank at RANK_TOL times the top singular value;
     NumericIllConditioned when a singular value sits near that threshold."""
     import numpy as np
     a = np.asarray(rows, dtype=complex)
@@ -791,7 +794,7 @@ def _numeric_nullity(rows, tol: float) -> int:
     top = sv[0] if len(sv) else 0.0
     if top == 0.0:
         return a.shape[1]
-    thresh = tol * top
+    thresh = RANK_TOL * top
     if any(thresh / 10 < s < thresh * 10 for s in sv):
         raise NumericIllConditioned("singular values hug the rank threshold")
     return int(a.shape[1] - sum(s > thresh for s in sv))
@@ -811,14 +814,14 @@ def _specialized_copy(rep: ModuleRep) -> ModuleRep:
                      region=rep.region)
 
 
-def _match_weight_label(rep: ModuleRep, chars, tol: float):
+def _match_weight_label(rep: ModuleRep, chars):
     fallback = "char:" + ",".join(f"{c:.6g}" for c in chars)
     if rep.basis_weights is None:
         return fallback
     gens = rep.rs.lattice_generators()
     for wt in dict.fromkeys(rep.basis_weights):
         ev = rep._ops.at(wt).ev
-        if all(near(ev(g), c, 10 * tol) for g, c in zip(gens, chars)):
+        if all(near(ev(g), c, 10 * RANK_TOL) for g, c in zip(gens, chars)):
             return wt
     return fallback
 
@@ -985,14 +988,14 @@ def commutant_dim(rep: ModuleRep, method: str = "auto") -> int:
         if method == "exact":
             raise UnsupportedType(
                 "the exact commutant needs upper triangular X matrices")
-        return _numeric_commutant(rep, RANK_TOL)
+        return _numeric_commutant(rep)
     if (method == "auto" and ops.exact
             and not all(map(_is_diagonal, rep.x_cols))):
         rep = _specialized_copy(rep)
-    return _block_commutant(rep, RANK_TOL)
+    return _block_commutant(rep)
 
 
-def _block_commutant(rep: ModuleRep, tol: float) -> int:
+def _block_commutant(rep: ModuleRep) -> int:
     """The commutant of a module with upper triangular X, in the basis of
     _weight_basis: X is block diagonal there, and so is a commuting matrix,
     one block C_a per generalized weight space a. Each generator block G_ab
@@ -1001,7 +1004,7 @@ def _block_commutant(rep: ModuleRep, tol: float) -> int:
     linear system over the merged lines and the wider blocks."""
     ops = rep._ops
     d = rep.dim
-    groups, _ = _weight_groups(rep, tol)
+    groups, _ = _weight_groups(rep)
     basis, owner, pos = {}, [0] * d, [0] * d
     for a, group in enumerate(groups):
         basis.update(_weight_basis(rep.x_cols, group, ops))
@@ -1050,7 +1053,7 @@ def _block_commutant(rep: ModuleRep, tol: float) -> int:
         for i in range(ma):   # (C_a G_ab)[i][q] takes c C_a[i][p]
             add((g, a, b, i, q), offset[find(a)] + i * ma + p, -c)
     system = [row for row in rows.values() if not all(map(ops.is_zero, row))]
-    return _nullity(system, n, ops, tol)
+    return _nullity(system, n, ops)
 
 
 def _weight_basis(x_cols, group, ops) -> dict:
@@ -1099,11 +1102,13 @@ def _weight_basis(x_cols, group, ops) -> dict:
 
 def _coordinates(y: dict, basis: dict, ops) -> dict:
     """Coordinates of the sparse vector y over sparse vectors basis[r] that
-    are 1 at r and 0 below r, by back-substitution from the last row up;
-    NumericIllConditioned when y has a nonzero coordinate outside basis."""
+    are 0 below row r, by back-substitution from the last row up: with basis
+    the columns of an upper triangular matrix, its inverse applied to y.
+    NumericIllConditioned off the basis, DivisionByZero at a zero pivot."""
     y = dict(y)
     heap = [-r for r in y]
     heapq.heapify(heap)
+    one = ops.one()
     out = {}
     while heap:
         r = -heapq.heappop(heap)
@@ -1113,8 +1118,11 @@ def _coordinates(y: dict, basis: dict, ops) -> dict:
             if v is None:
                 raise NumericIllConditioned(
                     f"a vector leaves the span of the basis at row {r}")
-            out[r] = c
-            if len(v) > 1:   # else v is e_r: nothing to take
+            pivot = v.get(r)
+            if pivot is None:
+                raise DivisionByZero("matrix is singular")
+            out[r] = c = c if pivot == one else c / pivot
+            if len(v) > 1:   # else v is a multiple of e_r: nothing to take
                 for k in v:
                     if k not in y:
                         heapq.heappush(heap, -k)
@@ -1130,7 +1138,7 @@ def _coordinate_matrix(vectors, basis: dict, ops) -> tuple:
          for y in vectors], len(basis), ops)
 
 
-def _numeric_commutant(rep: ModuleRep, tol: float) -> int:
+def _numeric_commutant(rep: ModuleRep) -> int:
     import numpy as np
     d = rep.dim
     if d > 24:
@@ -1149,7 +1157,7 @@ def _numeric_commutant(rep: ModuleRep, tol: float) -> int:
         block = stacked[k * dd:(k + 1) * dd]
         block[...] = np.kron(eye, m)
         block -= np.kron(m.T, eye)
-    return _numeric_nullity(stacked, tol)
+    return _numeric_nullity(stacked)
 
 
 # ---------------------------------------------------------------------------
@@ -1166,7 +1174,7 @@ def _weight_space(rep: ModuleRep, t: Weight) -> dict:
         raise ValueError("weight does not occur in this module")
     if not all(map(_is_upper, rep.x_cols)):
         raise UnsupportedType("weight spaces need upper triangular X")
-    if group not in _weight_groups(rep, RANK_TOL)[0]:
+    if group not in _weight_groups(rep)[0]:
         raise NumericIllConditioned(
             "diagonal clustering disagrees with the stored weights")
     return _weight_basis(rep.x_cols, group, rep._ops)
@@ -1191,9 +1199,9 @@ class TauOperator:
     matrix: tuple
 
     def is_invertible(self) -> bool:
-        ops = self.rep._ops
-        rank, _ = _rank_nullspace(list(self.matrix), ops)
-        return rank == len(self.matrix)
+        m = self.matrix
+        return (len(m) == len(m[0])
+                and _nullity(m, len(m), self.rep._ops) == 0)
 
 
 def tau_operator(i: int, t: Weight, rep: ModuleRep) -> TauOperator:
@@ -1201,6 +1209,7 @@ def tau_operator(i: int, t: Weight, rep: ModuleRep) -> TauOperator:
 
     Only defined when t is off the reflection wall for the i-th simple root;
     UndefinedTau otherwise, and UnsupportedType unless X is upper triangular.
+    DivisionByZero where 1 - X^-alpha is singular on the t space.
     """
     rs = rep.rs
     alpha = rs.simple_roots[i]
@@ -1213,14 +1222,16 @@ def tau_operator(i: int, t: Weight, rep: ModuleRep) -> TauOperator:
     target = _weight_space(rep, target_weight)
     vectors = list(source.values())
     # tau_i = T_i - (q - q^-1) (1 - X^-alpha)^-1, the inverse taken in source
-    # coordinates, where 1 - X^-alpha keeps the generalized weight space
+    # coordinates, where 1 - X^-alpha keeps the generalized weight space and
+    # is upper triangular: (1 - X^-alpha) v_s and v_s have no row past s
+    one = ops.one()
     x_neg = rep._x_power_columns(vec_neg(alpha))
-    c_inv = _inverse(_coordinate_matrix(
-        [_add_scaled(dict(v), -ops.one(), _apply(x_neg, v, ops))
-         for v in vectors], source, ops), ops)
+    shift = {s: _coordinates(_add_scaled(dict(v), -one, _apply(x_neg, v, ops)),
+                             source, ops) for s, v in source.items()}
     action = [_add_scaled(_apply(rep.t_cols[i], v, ops), -ops.qm,
-                          _apply(vectors, col, ops))
-              for v, col in zip(vectors, c_inv)]
+                          _apply(source, _coordinates({s: one}, shift, ops),
+                                 ops))
+              for s, v in source.items()]
     return TauOperator(rep=rep, index=i, source=t, target=target_weight,
                        source_basis=_columns_to_dense(vectors, d, ops),
                        target_basis=_columns_to_dense(target.values(), d, ops),

@@ -15,9 +15,9 @@ Combinatorics of Coxeter Groups, GTM 231). Acting on a root is a lookup;
 acting on any other ambient vector uses an exact matrix built once per
 element on first use.
 
-Exact Gaussian elimination lives here once (_rref) and serves every caller:
-solve_linear over Fractions, and the module code over exact or complex
-scalars through an ops object.
+Exact Gaussian elimination lives here once (_rref): solve_linear over
+Fractions, and the module code over exact scalars through an ops object.
+Elimination is exact only; numeric modules rank and invert through numpy.
 """
 
 from __future__ import annotations
@@ -100,8 +100,6 @@ def identity_matrix(n):
 class _FractionOps:
     """Scalar ops for the elimination helpers below, over Fractions."""
 
-    exact = True
-
     @staticmethod
     def zero():
         return F0
@@ -116,29 +114,20 @@ class _FractionOps:
 
 
 def _rref(rows, ncols: int, ops, pivot_limit: int | None = None):
-    """In-place reduced row echelon form; returns the pivot column list.
+    """In-place reduced row echelon form over exact scalars, pivoting on the
+    first nonzero entry; returns the pivot column list.
 
     pivot_limit restricts pivot search to the first columns, which is how the
     subspace solvers detect inconsistency (a pivot needed past the limit).
-    Exact ops take the first nonzero pivot; numeric ops pivot on the largest
-    entry and treat entries up to tol * max(1, largest entry) as zero.
     """
     limit = ncols if pivot_limit is None else pivot_limit
-    if not ops.exact:
-        scale = max((abs(x) for r in rows for x in r), default=0.0)
-        zero_tol = ops.tol * max(1.0, scale)
     pivots = []
     r = 0
     for c in range(limit):
         if r >= len(rows):
             break
-        if ops.exact:
-            p = next((k for k in range(r, len(rows))
-                      if not ops.is_zero(rows[k][c])), None)
-        else:
-            p = max(range(r, len(rows)), key=lambda k: abs(rows[k][c]))
-            if abs(rows[p][c]) <= zero_tol:
-                p = None
+        p = next((k for k in range(r, len(rows))
+                  if not ops.is_zero(rows[k][c])), None)
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]

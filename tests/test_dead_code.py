@@ -133,10 +133,9 @@ def test_the_dense_view_is_read_in_four_places():
     assert _reads_in_src(_is_dense_view_read) == DENSE_VIEW_READERS
 
 
-# Every rank in repn is taken by _nullity, apart from the invertibility of a
-# tau matrix and the dense numeric commutant.
-RANK_READERS = {"repn.py:_nullity", "repn.py:is_invertible",
-                "repn.py:_numeric_commutant"}
+# Every rank in repn is taken by _nullity, apart from the dense numeric
+# commutant.
+RANK_READERS = {"repn.py:_nullity", "repn.py:_numeric_commutant"}
 
 
 def _is_rank_call(node):
@@ -146,3 +145,17 @@ def _is_rank_call(node):
 
 def test_ranks_go_through_one_helper():
     assert _reads_in_src(_is_rank_call) == RANK_READERS
+
+
+# Triangular solves are back-substitutions (repn._coordinates); exact span
+# solves serve solve_linear and the inverse of an X that is not upper
+# triangular.
+SPAN_SOLVERS = {"rootsys.py:solve_linear", "repn.py:_inverse"}
+
+
+def _is_span_solve(node):
+    return isinstance(node, ast.Name) and node.id == "_solve_in_span"
+
+
+def test_span_solves_serve_two_callers():
+    assert _reads_in_src(_is_span_solve) == SPAN_SOLVERS

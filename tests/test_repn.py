@@ -15,6 +15,7 @@ from affine_hecke.algebra import bernstein_string
 from affine_hecke.errors import (
     DivisionByZero,
     GroupTooLarge,
+    HeckeError,
     MixedCosetExact,
     NotRegular,
     NotSkew,
@@ -646,19 +647,97 @@ def test_numeric_tau_is_the_exact_one_at_q0(label, pairings, i):
         assert ex.is_invertible() == nu.is_invertible()
 
 
-@pytest.mark.parametrize("backend", ["exact", "numeric"])
-def test_a_singular_x_on_the_p_lattice_is_reported(backend):
+@pytest.mark.parametrize("backend,upper", [
+    pytest.param("exact", True, id="exact"),
+    pytest.param("numeric", True, id="numeric"),
+    pytest.param("numeric", False, id="numeric-lower"),
+])
+def test_a_singular_x_on_the_p_lattice_is_reported(backend, upper):
     # on the P lattice s_1 sends the generator to its inverse, so the cross
-    # relation needs X^-1; with the bottom row of X zeroed there is none
+    # relation needs X^-1; with the bottom row of X zeroed there is none, and
+    # with the top row moved down and zeroed neither, nor is X triangular
     rs = build("A", 1)
     rep = repn.principal_series(gamma_with_pairings(rs, ("2",)),
                                 backend=backend)
     x = [list(rep.x_mats[0][0]), [rep._ops.zero()] * 2]
+    if not upper:
+        x.reverse()
     broken = repn.ModuleRep.from_matrices(
         rs, rep.basis, rep.t_mats, [x], weight=rep.weight, backend=backend)
     assert broken.report["cross"]["failures"] == [
         "(T_1, X_1): matrix is singular"]
     assert not broken.report["all_pass"]
+
+
+@pytest.mark.parametrize("top", [45, 60])
+def test_a_wide_x_diagonal_is_inverted_as_in_the_exact_twin(top):
+    # X_2 runs from 1 to q0^(2 top), about 1.1e9 at top = 45, and the cross
+    # relations need its inverse
+    rs = build("A", 1, lattice_mode="GL")
+    t = weight(rs, (0, top))
+    numeric = repn.principal_series(t, backend="numeric")
+    exact = repn.principal_series(t, backend="exact")
+    assert numeric.report["all_pass"]
+    for g in rs.lattice_generators():
+        got = numeric._x_power_columns(vec_neg(g))
+        want = exact._x_power_columns(vec_neg(g))
+        for a, b in zip(got, want, strict=True):
+            assert a.keys() == b.keys()
+            for r, x in b.items():
+                y = x.specialize(numeric.q0)
+                assert abs(a[r] - y) <= 1e-12 * abs(y)
+
+
+def calibrated_skew(backend):
+    """The calibrated module of the skew shape (3, 2)/(1), dim 5."""
+    cfg = tb.region_to_configuration(*tb.skew_to_region((3, 2), (1,)))
+    return repn.calibrated_module(rg.local_region(cfg.t, cfg.J),
+                                  backend=backend)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: repn.principal_series(weight(
+        build("A", 3, lattice_mode="GL"), (0, 0, 1, 1)), backend="exact"),
+    lambda: repn.principal_series(weight(
+        build("A", 3, lattice_mode="GL"), (0, 1, 2, 3)), backend="numeric"),
+    lambda: repn.principal_series(weight(build("C", 3), (3, 2, 1)),
+                                  backend="exact"),
+    lambda: calibrated_skew("exact"),
+    lambda: calibrated_skew("numeric"),
+], ids=["a3-exact", "a3-numeric", "c3-exact", "skew-exact", "skew-numeric"])
+def test_x_times_its_inverse_is_the_identity_column_by_column(make):
+    rep = make()
+    ops = rep._ops
+    for x in rep.x_cols:
+        inverse = repn._inverse(x, ops)
+        assert len(inverse) == rep.dim
+        for k, col in enumerate(inverse):
+            assert repn._sparse_eq(repn._apply(x, col, ops), {k: ops.one()},
+                                   ops)
+
+
+@pytest.mark.parametrize("ops", [repn._ExactScalars(), repn._NumericScalars()],
+                         ids=["exact", "numeric"])
+def test_a_zero_pivot_leaves_a_triangular_matrix_without_inverse(ops):
+    one = ops.one()
+    cols = ({0: one}, {0: one}, {0: one, 1: one, 2: one})
+    with pytest.raises(DivisionByZero, match="matrix is singular"):
+        repn._inverse(cols, ops)
+
+
+def test_tau_raises_named_errors_where_its_denominator_is_singular():
+    # the P lattice at a root of unity (the known defect of its exponent
+    # reduction) leaves 1 - X^-alpha_1 singular on the first basis weight
+    t = weight(build("A", 3), (0, 1, 2, 3), ell=4)
+    rep = repn.principal_series(t, backend="numeric")
+    with pytest.raises(DivisionByZero, match="matrix is singular"):
+        repn.tau_operator(0, rep.basis_weights[0], rep)
+    for i in range(rep.rs.rank):
+        for source in dict.fromkeys(rep.basis_weights):
+            try:
+                repn.tau_operator(i, source, rep)
+            except HeckeError:
+                pass
 
 
 # -- calibrated modules ------------------------------------------------------
@@ -736,7 +815,7 @@ def test_forced_build_that_divides_by_zero_raises_a_named_error(backend):
 
 def dense_commutant(rep):
     """The dense numeric Kronecker solve, as an oracle for the block route."""
-    return repn._numeric_commutant(rep, repn.RANK_TOL)
+    return repn._numeric_commutant(rep)
 
 
 def dense_exact_commutant(rep):
