@@ -160,13 +160,15 @@ def fibers(t: Weight) -> dict:
 # ---------------------------------------------------------------------------
 
 def rank_two_positive(rs: RootSystem, i: int, j: int):
-    """Positive roots of the rank-two subsystem spanned by simples i and j."""
-    out = []
-    for a in rs.positive_roots:
-        coeffs = rs.simple_coefficients(a)
-        if all(c == 0 for k, c in enumerate(coeffs) if k not in (i, j)):
-            out.append(a)
-    return tuple(out)
+    """Positive roots of the rank-two subsystem spanned by simples i and j,
+    found once per root system and pair from the integer simple
+    coefficients."""
+    sub = rs._rank_two.get((i, j))
+    if sub is None:
+        sub = rs._rank_two[i, j] = tuple(
+            a for a, coeffs in rs._simple_coeffs.items()
+            if not any(c for k, c in enumerate(coeffs) if k not in (i, j)))
+    return sub
 
 
 def is_calibratable(t: Weight) -> bool:

@@ -11,9 +11,11 @@ Weyl element is the permutation it induces on these indices, as in CHEVIE
 (Geck, Hiss, Luebeck, Malle, Pfeiffer, AAECC 7, 1996). Products compose
 index tuples, and inversion sets, descents and the lexicographically least
 reduced word are read off the permutation (Bjoerner and Brenti,
-Combinatorics of Coxeter Groups, GTM 231). Acting on a root is a lookup;
-acting on any other ambient vector uses an exact matrix built once per
-element on first use.
+Combinatorics of Coxeter Groups, GTM 231). Roots are built and moved in
+Python ints, as every root coordinate and Cartan integer here is one
+(Bourbaki, Lie Groups and Lie Algebras, ch. VI, plates I-IX), and only
+public values are Fractions: acting on a root is a lookup, on any other
+vector an integer matrix product, the matrix built once per element.
 
 Exact Gaussian elimination lives here once (_rref): solve_linear over
 Fractions, and the module code over exact scalars through an ops object.
@@ -25,6 +27,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from math import factorial, lcm
+from operator import mul
 
 from .errors import BadCap, GroupTooLarge, UnsupportedType
 
@@ -57,11 +60,12 @@ def weyl_cap() -> int:
 
 
 # ---------------------------------------------------------------------------
-# small exact vector/matrix helpers (tuples of Fractions)
+# small exact vector helpers on public values (tuples of Fractions); roots
+# and Weyl matrices are integers inside (_root_coords, WeylElt._imat)
 # ---------------------------------------------------------------------------
 
 def vec(xs) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) for x in xs)
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
 
 
 def vec_add(a, b):
@@ -83,10 +87,6 @@ def vec_scale(c, a):
 
 def vec_dot(a, b) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), F0)
-
-
-def mat_vec(m, x):
-    return tuple(vec_dot(row, x) for row in m)
 
 
 def mat_transpose(m):
@@ -236,6 +236,7 @@ class RootSystem:
         self.key = (type_label, rank, lattice_mode)
         self._element_cache: dict = {}
         self._coords_cache: dict = {}
+        self._rank_two: dict = {}  # regions.rank_two_positive, per (i, j)
         self._all_elements: tuple | None = None
         self._identity = self._elt(tuple(range(len(self.roots))))
         self._simple_reflections = tuple(self._elt(p) for p in simple_perms)
@@ -263,22 +264,14 @@ class RootSystem:
                 vec([1 if k == i else (-1 if k == i - 1 else 0) for k in range(r)])
                 for i in range(1, r))
             return (first,) + rest
-        if t == "B":
+        if t in ("B", "D"):
             if r < 2:
-                raise UnsupportedType("type B needs rank >= 2")
+                raise UnsupportedType(f"type {t} needs rank >= 2")
             diff = tuple(
                 vec([1 if k == i else (-1 if k == i + 1 else 0) for k in range(r)])
                 for i in range(r - 1))
-            last = vec([1 if k == r - 1 else 0 for k in range(r)])
-            return diff + (last,)
-        if t == "D":
-            if r < 2:
-                raise UnsupportedType("type D needs rank >= 2")
-            diff = tuple(
-                vec([1 if k == i else (-1 if k == i + 1 else 0) for k in range(r)])
-                for i in range(r - 1))
-            last = vec([1 if k in (r - 2, r - 1) else 0 for k in range(r)])
-            return diff + (last,)
+            ends = (r - 1,) if t == "B" else (r - 2, r - 1)
+            return diff + (vec([1 if k in ends else 0 for k in range(r)]),)
         if t == "G":
             if r != 2:
                 raise UnsupportedType("type G needs rank 2")
@@ -287,75 +280,78 @@ class RootSystem:
 
     def _generate_roots(self):
         """Index the roots; return the root permutation of each s_i."""
-        # close the simple roots under simple reflections, carrying each
-        # root's coordinates in the simple-root basis:
-        # s_i(beta) = beta - <beta, a_i^vee> a_i
-        simples = self.simple_roots
-        coroots = [self.coroot(a) for a in simples]
+        # close the simple roots under simple reflections in integers,
+        # carrying each root's coordinates in the simple-root basis:
+        # s_i(beta) = beta - c a_i, c = 2 (beta, a_i) / (a_i, a_i)
+        if any(c.denominator != 1 for a in self.simple_roots for c in a):
+            raise UnsupportedType("simple root coordinates must be integers")
+        simples = [tuple(c.numerator for c in a) for a in self.simple_roots]
+        norms = [sum(map(mul, a, a)) for a in simples]
         r = len(simples)
-        coeffs = {a: tuple(F1 if k == i else F0 for k in range(r))
+        coeffs = {a: tuple(int(k == i) for k in range(r))
                   for i, a in enumerate(simples)}
         images = [{} for _ in simples]  # images[i][beta] = s_i(beta)
-        frontier = list(simples)
+        frontier = simples
         while frontier:
             nxt = []
             for beta in frontier:
-                for i, alpha in enumerate(simples):
-                    c = vec_dot(beta, coroots[i])
-                    img = vec_sub(beta, vec_scale(c, alpha))
+                b = coeffs[beta]
+                for i, (alpha, norm) in enumerate(zip(simples, norms)):
+                    c = 2 * sum(map(mul, beta, alpha)) // norm
+                    img = tuple(x - c * y for x, y in zip(beta, alpha))
                     images[i][beta] = img
                     if img not in coeffs:
-                        b = coeffs[beta]
                         coeffs[img] = b[:i] + (b[i] - c,) + b[i + 1:]
                         nxt.append(img)
             frontier = nxt
-        # positives: nonnegative coordinates in the simple-root basis
-        positives = sorted((sum(cs), cs, root) for root, cs in coeffs.items()
-                           if all(c >= 0 for c in cs))
-        self.positive_roots = tuple(p[2] for p in positives)
-        self._simple_coeffs = {p[2]: p[1] for p in positives}
-        # all 2N roots: positives at 0..N-1, their negatives at N..2N-1
-        self.roots = self.positive_roots + tuple(
-            vec_neg(r) for r in self.positive_roots)
-        self.root_index = {r: i for i, r in enumerate(self.roots)}
-        # every realization here has integer root coordinates
-        self._root_coords = tuple(tuple(int(c) for c in r) for r in self.roots)
-        self._simple_index = tuple(self.root_index[a] for a in simples)
+        # positives: nonnegative coordinates in the simple-root basis; all
+        # 2N roots: positives at 0..N-1, their negatives at N..2N-1
+        _, pos_coeffs, pos = zip(*sorted(
+            (sum(cs), cs, root) for root, cs in coeffs.items()
+            if all(c >= 0 for c in cs)))
+        self._root_coords = pos + tuple(tuple(-x for x in a) for a in pos)
+        # the public roots share one Fraction per distinct coordinate
+        frac = {x: Fraction(x) for x in set().union(*self._root_coords)}
+        self.roots = tuple(tuple(map(frac.__getitem__, a))
+                           for a in self._root_coords)
+        self.positive_roots = self.roots[:len(pos)]
+        self._simple_coeffs = dict(zip(self.positive_roots, pos_coeffs))
+        self.root_index = {a: k for k, a in enumerate(self.roots)}
+        index = {a: k for k, a in enumerate(self._root_coords)}
+        self._simple_index = tuple(map(index.__getitem__, simples))
         self._pos_set = frozenset(self.positive_roots)
         expected = _POSITIVE_COUNTS[self.type_label](self.rank)
         if len(self.positive_roots) != expected:
             raise AssertionError("positive root count mismatch")
-        return tuple(tuple(self.root_index[img[b]] for b in self.roots)
+        return tuple(tuple(index[img[b]] for b in self._root_coords)
                      for img in images)
 
     def _compute_weights(self):
-        # solve <w_i, a_j^vee> = delta_ij inside the span of the simple roots
-        simples = self.simple_roots
+        # Cartan integers <a_i, a_j^vee> = 2 (a_i, a_j) / (a_j, a_j) from
+        # integer dot products, then <w_i, a_j^vee> = delta_ij solved inside
+        # the span of the simple roots
+        simples = [self._root_coords[k] for k in self._simple_index]
         r = self.rank
-        cartan_t = [[vec_dot(simples[i], self.coroot(simples[j]))
-                     for j in range(r)] for i in range(r)]
+        gram = [[sum(map(mul, a, b)) for b in simples] for a in simples]
         self.cartan_matrix = tuple(
-            tuple(vec_dot(self.coroot(simples[j]), simples[i]) for j in range(r))
+            tuple(Fraction(2 * gram[i][j] // gram[j][j]) for j in range(r))
             for i in range(r))
         omegas = []
         for i in range(r):
-            rhs = [F1 if j == i else F0 for j in range(r)]
-            coeffs = solve_linear(mat_transpose(cartan_t), rhs)
-            omega = vec([0] * self.dim)
-            for c, a in zip(coeffs, simples):
-                omega = vec_add(omega, vec_scale(c, a))
-            omegas.append(omega)
-        # d_i in the root span with <d_i, a_j> = delta_ij, for WeylElt.matrix,
-        # kept as (den, integer numerators of each d_i)
-        dual = [vec_scale(F2 / vec_dot(a, a), omega)
-                for a, omega in zip(simples, omegas)]
+            coeffs = solve_linear(mat_transpose(self.cartan_matrix),
+                                  [int(j == i) for j in range(r)])
+            omegas.append(tuple(sum(map(mul, coeffs, col))
+                                for col in zip(*simples)))
+        # d_i in the root span with <d_i, a_j> = delta_ij, for WeylElt's
+        # matrix, kept as (den, integer numerators of each d_i)
+        dual = [vec_scale(Fraction(2, gram[i][i]), omega)
+                for i, omega in enumerate(omegas)]
         den = lcm(*(c.denominator for d in dual for c in d))
         self._dual_basis = (den, tuple(tuple(int(c * den) for c in d)
                                        for d in dual))
         if self.lattice_mode == "GL":
             # integral representatives in Z^n: w_i = e_{i+1} + ... + e_n
-            n = self.dim
-            omegas = [vec([1 if k > i else 0 for k in range(n)])
+            omegas = [vec([int(k > i) for k in range(self.dim)])
                       for i in range(r)]
         self.fundamental_weights = tuple(omegas)
 
@@ -392,7 +388,7 @@ class RootSystem:
 
     def simple_coefficients(self, root):
         """Coordinates of a positive root in the simple-root basis."""
-        return self._simple_coeffs[root]
+        return tuple(map(Fraction, self._simple_coeffs[root]))
 
     # -- lattice --------------------------------------------------------------
 
@@ -579,18 +575,20 @@ class WeylElt:
     perm[k] is the index in rs.roots of w(rs.roots[k]), so w sends the
     positive root k to a negative root exactly when perm[k] >= N. Each root
     system keeps one instance per permutation. Equality also compares the
-    root system, since B_n and C_n index their roots alike. The exact
-    ambient matrix is built on first use of `matrix`.
+    root system, since B_n and C_n index their roots alike. The ambient
+    matrix is cached in integers, as den and the rows of den * matrix, on
+    first use by `act` on a vector that is not a root; `matrix` is a
+    Fraction view of it.
     """
 
-    __slots__ = ("rs", "perm", "_hash", "_matrix", "_len", "_inv", "_word",
+    __slots__ = ("rs", "perm", "_hash", "_imat", "_len", "_inv", "_word",
                  "_inverse")
 
     def __init__(self, rs: RootSystem, perm):
         self.rs = rs
         self.perm = perm
         self._hash = hash(perm)
-        self._matrix = None
+        self._imat = None
         self._len = None
         self._inv = None
         self._word = None
@@ -612,34 +610,36 @@ class WeylElt:
 
     @property
     def matrix(self):
-        """Exact ambient matrix: w(x) = x + sum_i <x, d_i> (w(a_i) - a_i).
+        """Exact ambient matrix of w, in Fractions: column k is w(e_k)."""
+        n = self.rs.dim
+        return tuple(zip(*(self.act(tuple(int(i == k) for i in range(n)))
+                           for k in range(n))))
 
-        d_i is the basis of the root span dual to the simple roots a_i; w
-        fixes the orthogonal complement of that span.
-        """
-        if self._matrix is None:
-            rs = self.rs
+    def act(self, x):
+        x = vec(x)
+        rs = self.rs
+        k = rs.root_index.get(x)
+        if k is not None:
+            return rs.roots[self.perm[k]]
+        if self._imat is None:
+            # w(x) = x + sum_i <x, d_i> (w(a_i) - a_i), d_i dual to the simple
+            # roots a_i in their span (w fixes its complement); den * matrix
             den, dual = rs._dual_basis
-            n = rs.dim
             coords = rs._root_coords
-            # den * matrix, in integers
-            rows = [[den if i == j else 0 for j in range(n)] for i in range(n)]
+            rows = [[den * (i == j) for j in range(rs.dim)]
+                    for i in range(rs.dim)]
             for k, d in zip(rs._simple_index, dual):
                 for p, (a, b) in enumerate(zip(coords[self.perm[k]],
                                                coords[k])):
                     if a != b:
-                        rows[p] = [x + (a - b) * y for x, y in zip(rows[p], d)]
-            # entries repeat, so build one Fraction per distinct value
-            frac = {x: Fraction(x, den) for x in set().union(*rows)}
-            self._matrix = tuple(tuple(frac[x] for x in row) for row in rows)
-        return self._matrix
-
-    def act(self, x):
-        x = tuple(x)
-        k = self.rs.root_index.get(x)
-        if k is not None:
-            return self.rs.roots[self.perm[k]]
-        return mat_vec(self.matrix, vec(x))
+                        rows[p] = [u + (a - b) * v for u, v in zip(rows[p], d)]
+            self._imat = (den, rows)
+        # x = nums / xden in integers, then one Fraction per coordinate
+        den, rows = self._imat
+        xden = lcm(*(c.denominator for c in x))
+        nums = [c.numerator * (xden // c.denominator) for c in x]
+        return tuple(Fraction(sum(map(mul, row, nums)), den * xden)
+                     for row in rows)
 
     def act_inverse(self, x):
         return self.inverse().act(x)

@@ -14,7 +14,8 @@ from affine_hecke.errors import (
     NotDominant,
     UnsupportedType,
 )
-from affine_hecke.rootsys import build, solve_linear, vec_add, vec_scale
+from affine_hecke.rootsys import (build, reflect, solve_linear, vec_add,
+                                  vec_scale)
 from affine_hecke.weights import height_character, make_tag, weight
 
 
@@ -197,6 +198,23 @@ def sweep_skew(rs, grid):
             elif not Z:
                 raise AssertionError("regular centers always give skew regions")
     return found
+
+
+@pytest.mark.parametrize("label,rank", [("A", 4), ("B", 4), ("C", 3),
+                                        ("D", 4), ("G", 2)])
+def test_rank_two_subsystems_are_the_reflection_closures(label, rank):
+    # the roots of R_ij are the orbit of a_i and a_j under s_i and s_j
+    rs = build(label, rank)
+    for i, j in itertools.combinations(range(rank), 2):
+        pair = (rs.simple_roots[i], rs.simple_roots[j])
+        orbit, frontier = set(pair), list(pair)
+        while frontier:
+            frontier = [reflect(a, b) for a in pair for b in frontier
+                        if reflect(a, b) not in orbit]
+            orbit.update(frontier)
+        sub = rg.rank_two_positive(rs, i, j)
+        assert sub == tuple(a for a in rs.positive_roots if a in orbit)
+        assert rg.rank_two_positive(rs, i, j) is sub
 
 
 def test_rank_two_skew_classification():

@@ -5,7 +5,9 @@ that machinery: type A inversion sets computed straight from permutation
 combinatorics, and ambient matrices multiplied out from simple reflections.
 """
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from affine_hecke.errors import BadCap, GroupTooLarge, UnsupportedType
 from affine_hecke.rootsys import (
     DEFAULT_WEYL_CAP,
     WEYL_CAP_ENV,
+    RootSystem,
     build,
     element_from_one_line,
     identity_matrix,
@@ -303,18 +306,28 @@ LADDER = ([("A", r, m) for r in range(1, 5) for m in ("P", "GL")]
           + [("G", 2, "P")])
 
 
+def half_integer_gammas(dim):
+    """Probes with odd halves, with halves and thirds, and with plain ints:
+    the integer action puts each over one common denominator."""
+    return (tuple(Fraction(2 * k + 1, 2) for k in range(dim)),
+            tuple(Fraction(k - 2, 3 - k % 2) for k in range(dim)),
+            tuple(range(dim)))
+
+
 @pytest.mark.parametrize("label,rank,mode", LADDER)
 def test_permutations_agree_with_reflection_matrices(label, rank, mode):
     rs = build(label, rank, lattice_mode=mode)
     positives = set(rs.positive_roots)
-    probes = rs.roots + rs.fundamental_weights
+    probes = rs.roots + rs.fundamental_weights + half_integer_gammas(rs.dim)
     matrices = set()
     for w in rs.weyl_elements():
         m = word_matrix(rs, w.reduced_word())
         matrices.add(m)
         assert w.matrix == m
+        assert all(type(c) is Fraction for row in w.matrix for c in row)
         for x in probes:
             assert w.act(x) == matvec(m, x)
+            assert all(type(c) is Fraction for c in w.act(x))
             assert w.inverse().act(w.act(x)) == x
             assert w.act_inverse(w.act(x)) == x
         assert w.inversion_set() == frozenset(
@@ -422,15 +435,14 @@ def test_closure_grows():
 # lattices and weights
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("label,rank,mode", [
-    ("A", 2, "GL"), ("A", 2, "P"), ("B", 3, "P"), ("C", 3, "P"),
-    ("D", 4, "P"), ("G", 2, "P")])
+@pytest.mark.parametrize("label,rank,mode", LADDER)
 def test_fundamental_weight_pairings(label, rank, mode):
+    # <w_i, a_j^vee> = 2 (w_i, a_j) / (a_j, a_j), by plain dot products
     rs = build(label, rank, lattice_mode=mode)
     for i, omega in enumerate(rs.fundamental_weights):
         for j, alpha in enumerate(rs.simple_roots):
-            from affine_hecke.rootsys import vec_dot
-            pairing = vec_dot(omega, rs.coroot(alpha))
+            pairing = (2 * sum(o * a for o, a in zip(omega, alpha))
+                       / sum(a * a for a in alpha))
             assert pairing == (1 if i == j else 0)
 
 
@@ -534,6 +546,76 @@ def test_reflect_is_involution():
     for alpha in rs.positive_roots:
         for beta in rs.positive_roots:
             assert reflect(alpha, reflect(alpha, beta)) == beta
+
+
+def bourbaki_cartan(label, n):
+    """Cartan matrix (<a_i, a_j^vee>) in Bourbaki's numbering (Lie Groups and
+    Lie Algebras, ch. VI, plates I-IV and IX), from the Dynkin diagram."""
+    if label == "G":
+        return ((2, -1), (-3, 2))
+    m = [[2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n)]
+         for i in range(n)]
+    if label == "B":
+        m[n - 2][n - 1] = -2        # a_n short
+    elif label == "C":
+        m[n - 1][n - 2] = -2        # a_n long
+    elif label == "D":
+        m[n - 2][n - 1] = m[n - 1][n - 2] = 0
+        m[n - 3][n - 1] = m[n - 1][n - 3] = -1
+    return tuple(map(tuple, m))
+
+
+@pytest.mark.parametrize("label,rank", [
+    ("A", 1), ("A", 2), ("A", 5), ("B", 2), ("B", 3), ("B", 5), ("C", 2),
+    ("C", 3), ("C", 5), ("D", 3), ("D", 4), ("D", 5), ("G", 2)])
+def test_cartan_matrix_is_bourbakis(label, rank):
+    rs = build(label, rank)
+    expected = bourbaki_cartan(label, rank)
+    if label == "C":
+        # this realization numbers type C from the long root 2e_1
+        expected = tuple(row[::-1] for row in expected[::-1])
+    assert rs.cartan_matrix == expected
+
+
+@pytest.mark.parametrize("label,rank,mode", LADDER)
+def test_public_root_data_is_in_fractions(label, rank, mode):
+    rs = build(label, rank, lattice_mode=mode)
+    vectors = (rs.roots + rs.positive_roots + rs.simple_roots
+               + rs.fundamental_weights + rs.cartan_matrix
+               + tuple(map(rs.simple_coefficients, rs.positive_roots)))
+    assert all(type(c) is Fraction for v in vectors for c in v)
+
+
+def test_describe_is_unchanged_over_the_ladder():
+    # recorded from the construction that ran in Fraction arithmetic
+    assert build("G", 2).describe() == {
+        "type": "G", "rank": 2, "lattice_mode": "P", "ambient_dim": 3,
+        "simple_roots": [["1", "-1", "0"], ["-2", "1", "1"]],
+        "cartan_matrix": [["2", "-1"], ["-3", "2"]],
+        "positive_roots": [["-2", "1", "1"], ["1", "-1", "0"],
+                           ["-1", "0", "1"], ["0", "-1", "1"],
+                           ["1", "-2", "1"], ["-1", "-1", "2"]],
+        "fundamental_weights": [["0", "-1", "1"], ["-1", "-1", "2"]],
+        "weyl_order": 12}
+    doc = json.dumps([build(*key).describe() for key in LADDER],
+                     sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "ef4098159383e3113cb34964807c6f1df37940b95ecbb4fa7c9066e452a069a5")
+
+
+class HalfIntegerF4(RootSystem):
+    """F4's simple roots (Bourbaki, plate VIII), one of them with halves."""
+
+    @staticmethod
+    def _simple_roots(t, r):
+        half = Fraction(1, 2)
+        return (vec([0, 1, -1, 0]), vec([0, 0, 1, -1]), vec([0, 0, 0, 1]),
+                vec([half, -half, -half, -half]))
+
+
+def test_a_root_coordinate_that_is_not_an_integer_is_refused():
+    with pytest.raises(UnsupportedType, match="integers"):
+        HalfIntegerF4("F", 4)
 
 
 def test_describe_shape():
