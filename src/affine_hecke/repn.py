@@ -31,6 +31,7 @@ matrix keeps each generalized weight space).
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import heapq
 import itertools
@@ -62,6 +63,21 @@ _GOLDEN = 0.6180339887498949
 # scalars: rational functions in q, or complex numbers at q0
 # ---------------------------------------------------------------------------
 
+def _memoized(f):
+    """f on lattice vectors, evaluated once per vector: a character value
+    costs a pairing with gamma and a power each time."""
+    memo = {}
+
+    def ev(lam):
+        lam = tuple(lam)
+        out = memo.get(lam)
+        if out is None:
+            out = memo[lam] = f(lam)
+        return out
+
+    return ev
+
+
 class _ExactScalars:
     """Rational functions in q; ev is the character of t with its coset tags
     dropped, None without a weight."""
@@ -79,7 +95,7 @@ class _ExactScalars:
     entry = staticmethod(ExactScalar.serialize)
 
     def __init__(self, t: Weight | None = None):
-        self.ev = None if t is None else Weight(t.rs, t.gamma).eval
+        self.ev = None if t is None else _memoized(Weight(t.rs, t.gamma).eval)
 
     def at(self, t: Weight) -> "_ExactScalars":
         return _ExactScalars(t)
@@ -121,7 +137,7 @@ class _NumericScalars:
                 out *= vals[sym] ** k
             return complex(out)
 
-        self.ev = ev
+        self.ev = _memoized(ev)
 
     def at(self, t: Weight) -> "_NumericScalars":
         return _NumericScalars(t, self.q0)
@@ -273,12 +289,12 @@ class ModuleRep:
     action of X^g for the k-th lattice generator g, each a tuple of sparse
     {row: entry} columns without zero entries. t_mats and x_mats are the same
     matrices as dense row tuples, built on first use. Matrices are immutable;
-    the caches only hold views and products of them.
+    the caches only hold views and products of them, and the weight groups.
     """
 
     __slots__ = ("rs", "kind", "basis", "basis_weights", "t_cols", "x_cols",
                  "weight", "region", "report", "_ops", "_index", "_dense",
-                 "_xpow_cache")
+                 "_xpow_cache", "_groups")
 
     def __init__(self, rs: RootSystem, kind: str, basis, t_cols, x_cols,
                  scalars, weight: Weight | None = None, basis_weights=None,
@@ -304,6 +320,7 @@ class ModuleRep:
         self._index = {w: k for k, w in enumerate(self.basis)}
         self._dense = None
         self._xpow_cache = {}
+        self._groups = None   # _weight_groups
 
     @classmethod
     def from_matrices(cls, rs: RootSystem, basis, t_mats, x_mats, *,
@@ -715,14 +732,18 @@ def _weight_groups(rep: ModuleRep):
     diagonals. Otherwise (numeric modules only) it is eigenvector k of a
     generic combination of the X, keyed by its Rayleigh quotients; a
     defective character splits there into clusters whose eigenvectors are
-    parallel up to rounding, which raises NumericIllConditioned.
+    parallel up to rounding, which raises NumericIllConditioned. Computed
+    once per module; callers do not modify the lists.
     """
+    if rep._groups is not None:
+        return rep._groups
     ops = rep._ops
     if all(map(_is_upper, rep.x_cols)):
         zero = ops.zero()
         keys = [tuple(m[k].get(k, zero) for m in rep.x_cols)
                 for k in range(rep.dim)]
-        return _character_groups(keys, ops.exact), keys
+        rep._groups = _character_groups(keys, ops.exact), keys
+        return rep._groups
     import numpy as np
     xs = np.array(rep.x_mats, dtype=complex)
     # 1 and the square roots of distinct primes are linearly independent over
@@ -740,7 +761,8 @@ def _weight_groups(rep: ModuleRep):
         raise NumericIllConditioned(
             "eigenvectors of distinct clusters are parallel: the X matrices "
             "have a Jordan block that the eigensolver split")
-    return groups, keys
+    rep._groups = groups, keys
+    return rep._groups
 
 
 def _primes():
@@ -753,24 +775,50 @@ def _primes():
 
 def _character_groups(keys, exact: bool) -> list:
     """Indices grouped by joint character: equal keys when exact, else
-    clusters at RANK_TOL whose first keys sit 10 RANK_TOL apart."""
+    clusters at RANK_TOL whose first keys sit 10 RANK_TOL apart.
+
+    A key joins the first cluster whose first key is near it entrywise. Both
+    searches look only along a generic real projection of the keys, kept
+    sorted: it moves by at most the largest entry gap, and near(x, y,
+    RANK_TOL) bounds that gap by 2 RANK_TOL max(1, |x|). The windows carry a
+    slack for the rounding of the projection."""
     if exact:
         return _group_equal(keys)
+    m = len(keys[0]) if keys else 0
+    # unit directions at golden angles, weighted 1/m: |p(x) - p(y)| is at
+    # most max |x_k - y_k|; the first entries alone repeat across clusters
+    dirs = [cmath.exp(-2j * math.pi * (((k + 1) * _GOLDEN) % 1.0)) / m
+            for k in range(m)]
+    scale = max((abs(x) for key in keys for x in key), default=0.0)
+    slack = 1e-12 * max(1.0, scale)
     groups, reps = [], []
+    line = []   # (projection of the cluster's first key, cluster), sorted
     for idx, key in enumerate(keys):
-        for group, first in zip(groups, reps):
-            if all(near(x, y, RANK_TOL) for x, y in zip(key, first)):
-                group.append(idx)
-                break
-        else:
-            groups.append([idx])
-            reps.append(key)
-    for a in range(len(reps)):
-        for b in range(a + 1, len(reps)):
-            gap = max(abs(x - y) for x, y in zip(reps[a], reps[b]))
+        p = sum((x * d).real for x, d in zip(key, dirs))
+        r = 2 * RANK_TOL * max(1.0, *map(abs, key)) + slack
+        window = line[bisect.bisect_left(line, (p - r,)):
+                      bisect.bisect_right(line, (p + r, math.inf))]
+        near_ones = [g for _, g in window
+                     if all(near(a, b, RANK_TOL) for a, b in zip(key, reps[g]))]
+        if near_ones:
+            groups[min(near_ones)].append(idx)
+            continue
+        bisect.insort(line, (p, len(groups)))
+        groups.append([idx])
+        reps.append(key)
+    close = []   # (a, b, gap) for clusters a < b too close
+    for i, (p, a) in enumerate(line):
+        j = i + 1
+        while j < len(line) and line[j][0] - p < 10 * RANK_TOL + slack:
+            b = line[j][1]
+            gap = max(abs(u - v) for u, v in zip(reps[a], reps[b]))
             if gap < 10 * RANK_TOL:
-                raise NumericIllConditioned(
-                    f"weight clusters separated by only {gap:.3g}")
+                close.append((min(a, b), max(a, b), gap))
+            j += 1
+    if close:
+        gap = min(close)[2]
+        raise NumericIllConditioned(
+            f"weight clusters separated by only {gap:.3g}")
     return groups
 
 
@@ -937,16 +985,18 @@ def spherical(t: Weight, backend: str = "auto",
     if t.is_regular():
         # closed form: the coefficient of the intertwiner basis vector at z is
         # q^len(w0) times the product of (q^-1 - q t(X^a))/(1 - t(X^a)) over
-        # the inversions of w0 z (the same factors as the generation test)
+        # the inversions of w0 z (the same factors as the generation test),
+        # each taken once per positive root and multiplied in root index order
         basis_vectors = tau_basis(rep)
         w0 = rep.rs.long_element()
         one = ops.one()
+        factors = [(one / q - q * val) / (one - val)
+                   for val in map(ops.ev, rep.rs.positive_roots)]
         total = [ops.zero()] * rep.dim
         for z in rep.basis:
             coeff = ops.q(w0.length())
-            for alpha in (w0 * z).inversion_set():
-                val = ops.ev(alpha)
-                coeff = coeff * ((one / q - q * val) / (one - val))
+            for k in (w0 * z).inversions():
+                coeff = coeff * factors[k]
             vz = basis_vectors[z]
             total = [acc + coeff * x for acc, x in zip(total, vz)]
         expansion_check = all(ops.eq(a, b) for a, b in zip(total, vector))

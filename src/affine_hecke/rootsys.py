@@ -89,6 +89,13 @@ def vec_dot(a, b) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), F0)
 
 
+def _over_common_denominator(x) -> tuple[int, list[int]]:
+    """(den, nums) with x = nums / den in integers, for a vector of
+    Fractions."""
+    den = lcm(*(c.denominator for c in x))
+    return den, [c.numerator * (den // c.denominator) for c in x]
+
+
 def mat_transpose(m):
     return tuple(zip(*m))
 
@@ -237,6 +244,13 @@ class RootSystem:
         self._element_cache: dict = {}
         self._coords_cache: dict = {}
         self._rank_two: dict = {}  # regions.rank_two_positive, per (i, j)
+        self._singletons: tuple | None = None  # see _positive_singletons
+        self._lattice = (tuple(vec([int(k == i) for k in range(self.dim)])
+                               for i in range(self.dim))
+                         if lattice_mode == "GL" else self.fundamental_weights)
+        # (den, nums) of each lattice generator, for Weight._signature
+        self._lattice_ints = tuple(map(_over_common_denominator,
+                                       self._lattice))
         self._all_elements: tuple | None = None
         self._identity = self._elt(tuple(range(len(self.roots))))
         self._simple_reflections = tuple(self._elt(p) for p in simple_perms)
@@ -380,6 +394,15 @@ class RootSystem:
     def coroot(self, alpha):
         return vec_scale(F2 / vec_dot(alpha, alpha), alpha)
 
+    def _positive_singletons(self) -> tuple[frozenset, ...]:
+        """frozenset((a,)) for each positive root a, in index order, built
+        once. Unions of them reuse the stored hashes, so inversion sets and
+        Z, P are assembled without hashing a Fraction."""
+        if self._singletons is None:
+            self._singletons = tuple(frozenset((a,))
+                                     for a in self.positive_roots)
+        return self._singletons
+
     def is_positive_root(self, x) -> bool:
         return x in self._pos_set
 
@@ -394,11 +417,7 @@ class RootSystem:
 
     def lattice_generators(self):
         """Generators of the lattice X used for the algebra's X^lambda."""
-        if self.lattice_mode == "GL":
-            n = self.dim
-            return tuple(vec([1 if k == i else 0 for k in range(n)])
-                         for i in range(n))
-        return self.fundamental_weights
+        return self._lattice
 
     def lattice_coords(self, x):
         """Integer coordinates of x over lattice_generators(), or None off
@@ -636,8 +655,7 @@ class WeylElt:
             self._imat = (den, rows)
         # x = nums / xden in integers, then one Fraction per coordinate
         den, rows = self._imat
-        xden = lcm(*(c.denominator for c in x))
-        nums = [c.numerator * (xden // c.denominator) for c in x]
+        xden, nums = _over_common_denominator(x)
         return tuple(Fraction(sum(map(mul, row, nums)), den * xden)
                      for row in rows)
 
@@ -649,12 +667,19 @@ class WeylElt:
 
     # -- length, inversions, words --------------------------------------------
 
+    def inversions(self) -> tuple[int, ...]:
+        """Indices k < N of R(w), increasing: the positive roots k with
+        perm[k] >= N."""
+        n = len(self.rs.positive_roots)
+        return tuple(k for k in range(n) if self.perm[k] >= n)
+
     def inversion_set(self) -> frozenset:
-        """R(w) = positive roots sent negative by w."""
+        """R(w) = positive roots sent negative by w, a union of the root
+        system's _positive_singletons."""
         if self._inv is None:
-            n = len(self.rs.positive_roots)
-            self._inv = frozenset(
-                a for a, j in zip(self.rs.positive_roots, self.perm) if j >= n)
+            single = self.rs._positive_singletons()
+            self._inv = frozenset().union(*map(single.__getitem__,
+                                               self.inversions()))
         return self._inv
 
     def length(self) -> int:

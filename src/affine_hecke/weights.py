@@ -16,9 +16,11 @@ type A only; exponents live mod ell and Z/P membership becomes a congruence.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .errors import BadEll, MixedCosetExact, UnsupportedType, WrongLattice
-from .rootsys import RootSystem, WeylElt, vec, vec_dot
+from .rootsys import (RootSystem, WeylElt, _over_common_denominator, vec,
+                      vec_dot)
 from .scalars import ExactScalar
 
 TRIVIAL_TAG: tuple = ()
@@ -143,26 +145,35 @@ class Weight:
     # -- Z(t) and P(t) -----------------------------------------------------------
 
     def zp_sets(self):
-        """(Z(t), P(t)): positive roots where t(X^alpha) is 1, resp. q^{+-2}."""
+        """(Z(t), P(t)): positive roots where t(X^alpha) is 1, resp. q^{+-2}.
+
+        <gamma, alpha> is paired in integers over gamma's denominator, and
+        each set is a union of the root system's singletons, so no Fraction
+        is built or hashed."""
         if self._zp is not None:
             return self._zp
+        rs = self.rs
+        den, nums = _over_common_denominator(self.gamma)
+        tagged = any(self.tags)
         Z, P = [], []
-        for alpha in self.rs.positive_roots:
-            if self.tag_of(alpha) != TRIVIAL_TAG:
+        for k, alpha in enumerate(rs._root_coords[:len(rs.positive_roots)]):
+            if tagged and self.tag_of(alpha) != TRIVIAL_TAG:
                 continue
-            c = vec_dot(self.gamma, alpha)
-            if self.ell is not None:
-                c = Fraction(int(c) % self.ell)
+            c = sum(map(mul, nums, alpha))   # den * <gamma, alpha>
+            if self.ell is not None:   # den is 1: gamma is integral here
+                c %= self.ell
                 if c == 0:
-                    Z.append(alpha)
+                    Z.append(k)
                 elif c == 1 or c == self.ell - 1:
-                    P.append(alpha)
+                    P.append(k)
                 continue
             if c == 0:
-                Z.append(alpha)
-            elif c == 1 or c == -1:
-                P.append(alpha)
-        self._zp = (frozenset(Z), frozenset(P))
+                Z.append(k)
+            elif c == den or c == -den:
+                P.append(k)
+        single = rs._positive_singletons()
+        self._zp = tuple(frozenset().union(*map(single.__getitem__, ks))
+                         for ks in (Z, P))
         return self._zp
 
     def is_regular(self) -> bool:
@@ -234,19 +245,23 @@ class Weight:
     # -- equality and display --------------------------------------------------
 
     def _signature(self):
-        """Values on the lattice generators; weights are never mutated, so
-        it is computed once."""
+        """Values on the lattice generators, each pairing <gamma, g> taken in
+        integers; weights are never mutated, so it is computed once."""
         if self._sig is None:
+            rs = self.rs
+            den, nums = _over_common_denominator(self.gamma)
+            tagged = any(self.tags)
             sig = []
-            for g in self.rs.lattice_generators():
-                net = combine_tags(
+            for g, (gden, gnums) in zip(rs.lattice_generators(),
+                                        rs._lattice_ints):
+                net = TRIVIAL_TAG if not tagged else combine_tags(
                     (self.tags[i], int(c)) for i, c in enumerate(g)
                     if c.denominator == 1)
-                expo = vec_dot(self.gamma, g)
+                expo = Fraction(sum(map(mul, nums, gnums)), den * gden)
                 if self.ell is not None:
                     expo = Fraction(int(expo) % self.ell)
                 sig.append((net, expo))
-            self._sig = (self.rs.key, self.ell, tuple(sig))
+            self._sig = (rs.key, self.ell, tuple(sig))
         return self._sig
 
     def __eq__(self, other):

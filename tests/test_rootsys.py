@@ -333,6 +333,9 @@ def test_permutations_agree_with_reflection_matrices(label, rank, mode):
         assert w.inversion_set() == frozenset(
             a for a in rs.positive_roots
             if tuple(-c for c in matvec(m, a)) in positives)
+        assert w.inversions() == tuple(
+            k for k, a in enumerate(rs.positive_roots)
+            if a in w.inversion_set())
     assert len(matrices) == rs.weyl_order()
     elements = rs.weyl_elements()
     assert elements == rs.subgroup(
