@@ -322,6 +322,53 @@ def test_exact_a3_decomposition_matches_its_numeric_twin(gamma):
     assert exact.spaces == numeric.spaces
 
 
+def exact_lower_conjugate(rep):
+    """An exact module conjugated by the unit lower bidiagonal matrix L with
+    ones below the diagonal (L^-1 has (-1)^(i-j) at i >= j), which leaves its
+    X matrices not upper triangular."""
+    d = rep.dim
+    low = [[int(i - j in (0, 1)) for j in range(d)] for i in range(d)]
+    low_inv = [[(-1) ** (i - j) if i >= j else 0 for j in range(d)]
+               for i in range(d)]
+    product = lambda a, b: [[sum(a[i][k] * b[k][j] for k in range(d))
+                             for j in range(d)] for i in range(d)]
+    conj = lambda m: product(product(low, m), low_inv)
+    return repn.ModuleRep.from_matrices(
+        rep.rs, rep.basis, [conj(m) for m in rep.t_mats],
+        [conj(m) for m in rep.x_mats], weight=rep.weight,
+        basis_weights=rep.basis_weights)
+
+
+@pytest.mark.parametrize("rank,gamma", [
+    (1, (Fraction(3, 2), Fraction(-3, 2))), (2, (0, Fraction(1, 2), 3))])
+def test_exact_module_with_x_not_upper_triangular(monkeypatch, rank, gamma):
+    # the relations invert X by the exact span solve, the weight spaces are
+    # read on a numeric copy and the commutant takes the dense numeric solve
+    routes = {"_solve_in_span": 0, "_specialized_copy": 0,
+              "_numeric_commutant": 0}
+
+    def counted(name):
+        inner = getattr(repn, name)
+
+        def call(*args):
+            routes[name] += 1
+            return inner(*args)
+        return call
+
+    for name in routes:
+        monkeypatch.setattr(repn, name, counted(name))
+    rep = repn.principal_series(weight(build("A", rank), gamma))
+    twisted = exact_lower_conjugate(rep)
+    assert not any(map(repn._is_upper, twisted.x_cols))
+    assert twisted.report["all_pass"]
+    assert routes["_solve_in_span"] == rank
+    dec = repn.weight_decomposition(twisted)
+    assert routes["_specialized_copy"] == 1
+    assert dec.spaces == repn.weight_decomposition(rep).spaces
+    assert repn.commutant_dim(twisted) == 1
+    assert routes["_numeric_commutant"] == 1
+
+
 def test_non_triangular_module_at_a_non_regular_weight():
     # X is one Jordan block at t; after conjugation by a lower-triangular
     # matrix the eigenvectors of X carry the grouping, and the generalized

@@ -5,6 +5,8 @@ chamber set computed by regions, so every test here checks the tableau route
 against the independent chamber route.
 """
 
+import dataclasses
+import hashlib
 import itertools
 import json
 from fractions import Fraction
@@ -14,9 +16,10 @@ import pytest
 from affine_hecke import regions as rg
 from affine_hecke import repn
 from affine_hecke import tableaux as tb
-from affine_hecke.errors import (BadCap, CaseMismatch, HeckeError,
-                                 JCrossesPages, NotContained, NotStandard,
-                                 TooLarge)
+from affine_hecke.errors import (BadCap, BadEll, CaseMismatch, EmptyRegion,
+                                 HeckeError, JCrossesPages, JNotSubsetOfP,
+                                 NotContained, NotDominant, NotSkew,
+                                 NotStandard, TooLarge, UnsupportedType)
 from affine_hecke.rootsys import build
 from affine_hecke.scalars import ExactScalar
 from affine_hecke.weights import weight
@@ -293,3 +296,193 @@ def test_an_enumeration_cap_that_is_not_a_positive_integer_is_refused(
             tb._enum_cap(mode)
     with pytest.raises(BadCap):
         tb.enumerate_standard(one_row(2))
+
+
+# -- outputs pinned over a fixed grid ------------------------------------------
+
+def _pinned_builds():
+    """(builder, args) over skew shapes at two placements, every J of a
+    two-page weight, periodic weights at ell 3..5 and the type C weights."""
+    for lam, mu in SHAPES:
+        for placement in (0, 2):
+            yield tb.region_to_configuration, tb.skew_to_region(lam, mu,
+                                                                placement)
+    t = weight(build("A", 3, lattice_mode="GL"), (0, 1, H, 1 + H))
+    for J in subsets(t.zp_sets()[1]):
+        yield tb.region_to_configuration, (t, J)
+    rs = build("A", 2, lattice_mode="GL")
+    for ell in (3, 4, 5):
+        for gamma in itertools.combinations_with_replacement(range(ell), 3):
+            t = weight(rs, gamma, ell=ell)
+            for J in subsets(t.zp_sets()[1]):
+                yield tb.periodic_configuration, (t, J)
+    for case, gammas in sorted(TYPEC_WEIGHTS.items()):
+        for gamma in gammas:
+            t = weight(build("C", len(gamma)), gamma)
+            for J in subsets(t.zp_sets()[1]):
+                yield tb.typec_configuration, (t, J, case)
+
+
+def _pinned_record(builder, args):
+    try:
+        cfg = builder(*args)
+    except HeckeError as exc:
+        return [type(exc).__name__, str(exc)]
+    return [tb.to_dict(cfg), [f.entries for f in tb.enumerate_standard(cfg)]]
+
+
+def test_configurations_and_fillings_are_unchanged_over_a_grid():
+    # recorded before the three builders shared their assembly; a refused
+    # build records its error class and message
+    records = [_pinned_record(*call) for call in _pinned_builds()]
+    assert len(records) == 692
+    doc = json.dumps(records, sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "c5179cadab98200868ce1be79128cc68b47394065b8179b4ac290c3cf00c9f83")
+
+
+# -- builder errors ---------------------------------------------------------------
+
+A_ROOT = (-1, 1, 0)   # eps_2 - eps_1 in three coordinates
+
+
+@pytest.mark.parametrize("t,J,error,match", [
+    (weight(build("C", 2), (0, 1)), [], UnsupportedType, "typec_configuration"),
+    (weight(build("A", 2, lattice_mode="GL"), (0, 1, 2), ell=3), [], BadEll,
+     "periodic_configuration"),
+    ((0, H, 1), [], NotDominant, "coset must be consecutive"),
+    ((1, 0, H), [], NotDominant, "increase weakly along each page"),
+    ((0, 2, 3), [A_ROOT], JNotSubsetOfP, r"q\^\(\+-2\)"),
+    ((0, 0, 1), [(-1, 0, 1)], EmptyRegion, "not closed under Z"),
+])
+def test_region_to_configuration_refuses_bad_input(t, J, error, match):
+    with pytest.raises(error, match=match):
+        tb.region_to_configuration(t, J)
+
+
+A2_GL = build("A", 2, lattice_mode="GL")
+
+
+@pytest.mark.parametrize("t,J,ell,error,match", [
+    (weight(A2_GL, (0, 1, 2)), [], None, BadEll, "root-of-unity weight"),
+    (weight(A2_GL, (0, 1, 2), ell=3), [], 4, BadEll, "ell = 3, got ell = 4"),
+    ((0, 1, 2), [], None, BadEll, "pass ell"),
+    ((0, 1, 1), [], 2, BadEll, "ell > 2"),
+    ((0, 2, 1), [], 3, NotDominant, "weakly increasing"),
+    ((0, 0, 2), [A_ROOT], 4, JNotSubsetOfP, r"q\^\(\+-2\)"),
+    ((0, 0, 1), [(-1, 0, 1)], 3, EmptyRegion, "in-window pairs"),
+])
+def test_periodic_configuration_refuses_bad_input(t, J, ell, error, match):
+    with pytest.raises(error, match=match):
+        tb.periodic_configuration(t, J, ell)
+
+
+@pytest.mark.parametrize("t,J,case,error,match", [
+    (weight(A2_GL, (0, 1, 2)), [], "zero", UnsupportedType, "type C weight"),
+    ((1, 0), [], "zero", NotDominant, "weakly increasing"),
+    ((-H, H), [], "half", NotDominant, "nonnegative entries"),
+    ((0, 3), [(1, 1)], "zero", JNotSubsetOfP, r"q\^\(\+-2\)"),
+    ((0, 1), [(1, 1)], "zero", EmptyRegion, "not closed under Z"),
+])
+def test_typec_configuration_refuses_bad_input(t, J, case, error, match):
+    with pytest.raises(error, match=match):
+        tb.typec_configuration(t, J, case)
+
+
+# -- books of pages ---------------------------------------------------------------
+
+TWO_PAGES = (0, 1, H, 1 + H)
+
+
+def test_a_book_has_one_configuration_per_page():
+    # J flips the first page only; each page keeps its own numbering
+    cfg = tb.region_to_configuration(TWO_PAGES, [(-1, 1, 0, 0)])
+    assert cfg.pages() == (0, H)
+    book = tb.build_book(TWO_PAGES, [(-1, 1, 0, 0)])
+    assert [(lab, page.t.gamma, page.J) for lab, page in book] == [
+        (0, (0, 1), frozenset({(-1, 1)})), (H, (H, 1 + H), frozenset())]
+    assert all(tb.verify_bijection(page) for _, page in book)
+
+
+@pytest.mark.parametrize("J", [[], [(-1, 1, 0, 0)], [(0, 0, -1, 1)],
+                               [(-1, 1, 0, 0), (0, 0, -1, 1)]])
+def test_two_pages_are_classified_page_by_page(J):
+    cfg = tb.region_to_configuration(TWO_PAGES, J)
+    assert tb.classify_configuration(cfg) == (True, True)
+
+
+def test_render_text_heads_each_page_and_ends_with_the_period():
+    two = tb.region_to_configuration(TWO_PAGES, [])
+    assert tb.render_text(two) == "page 0:\n[0][1]\npage 1/2:\n[1/2][3/2]"
+    typec = tb.typec_configuration(weight(build("C", 2), (0, 1)), [], "zero")
+    assert tb.render_text(typec) == "page 0:\n[-1][ 0]\n        [ 0][ 1]"
+    periodic = tb.periodic_configuration((0, 1, 2), [], ell=4)
+    assert tb.render_text(periodic) == "[0][1][2]\nperiod: (3, 1)"
+
+
+# -- fillings that are not standard --------------------------------------------------
+
+def test_validate_filling_names_each_kind_of_violation():
+    hook = tb.region_to_configuration(*tb.skew_to_region((2, 1)))
+    assert tb.validate_filling(hook, [1, 1, 2]) == ({
+        "i": None, "j": None, "kind": "support",
+        "required": "entries must use 1..n once each"},)
+    assert tb.validate_filling(hook, [1, 3, 2]) == (
+        {"i": 1, "j": 2, "kind": "P", "required": "p(1) > p(2) (root in J)"},
+        {"i": 2, "j": 3, "kind": "P",
+         "required": "p(2) < p(3) (root not in J)"})
+    column = tb.region_to_configuration((0, 0, 1), [])
+    assert tb.validate_filling(column, [2, 1, 3]) == ({
+        "i": 1, "j": 2, "kind": "Z",
+        "required": "p(1) < p(2) along the diagonal"},)
+    typec = tb.typec_configuration(weight(build("C", 2), (0, 1)), [], "zero")
+    assert tb.validate_filling(typec, [2, -1, 1, 2]) == ({
+        "i": -2, "j": 2, "kind": "symmetry", "required": "p(-b) = -p(b)"},)
+    assert tb.validate_filling(typec, [-2, -1, 1, 2]) == ()
+    assert tb.validate_filling(typec, [1, 2]) == ()
+
+
+# -- pictures that are not skew shapes -----------------------------------------------
+
+def test_a_picture_that_is_not_a_skew_shape_is_refused():
+    # two boxes on one diagonal step down to the east, and a gap between
+    # diagonals splits a row
+    with pytest.raises(NotSkew, match="nest like a skew shape"):
+        tb.configuration_to_skew(tb.region_to_configuration((0, 0), []))
+    with pytest.raises(NotSkew, match="contiguous segment"):
+        tb.configuration_to_skew(tb.region_to_configuration((0, 0, 2), []))
+    row = tb.region_to_configuration((0, 1), [])
+    lifted = dataclasses.replace(row, boxes=(
+        row.boxes[0], dataclasses.replace(row.boxes[1], y=2)))
+    with pytest.raises(NotSkew, match="rows must be contiguous"):
+        tb.configuration_to_skew(lifted)
+    halves = tb.region_to_configuration(
+        *tb.skew_to_region((2, 1), (), Fraction(1, 2)))
+    with pytest.raises(NotSkew, match="integer placement"):
+        tb.configuration_to_skew(halves)
+    with pytest.raises(UnsupportedType):
+        tb.configuration_to_skew(
+            tb.periodic_configuration((0, 1, 2), [], ell=4))
+
+
+def test_a_mismatch_with_the_chamber_set_names_a_witness():
+    # the hook's fillings against the region of its transpose J, and one
+    # row's filling against a generic weight, whose chamber set is all of W
+    hook = tb.region_to_configuration(*tb.skew_to_region((2, 1)))
+    report = tb.verify_bijection(hook, rg.local_region(hook.t, []))
+    assert report == tb.BijectionReport(
+        False, 2, 1, "word (2, 1, 3) not in the chamber set")
+    generic = weight(A2_GL, (0, Fraction(1, 3), Fraction(2, 3)))
+    report = tb.verify_bijection(one_row(3), rg.local_region(generic, []))
+    assert report == tb.BijectionReport(
+        False, 1, 6, "word (1, 3, 2) has no standard filling")
+
+
+def test_one_page_finite_routines_refuse_other_configurations():
+    periodic = tb.periodic_configuration((0, 1, 2), [], ell=4)
+    two = tb.region_to_configuration(TWO_PAGES, [])
+    with pytest.raises(UnsupportedType, match="finite type A pages"):
+        tb.classify_configuration(periodic)
+    for call in (tb.conjugate_configuration, tb.reading_tableaux):
+        with pytest.raises(UnsupportedType, match="one-page finite region"):
+            call(two)
