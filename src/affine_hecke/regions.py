@@ -44,14 +44,20 @@ class LocalRegion:
     J: frozenset
 
 
+def _checked_J(t: Weight, J):
+    """(J, Z, P): J as a frozenset of root tuples, JNotSubsetOfP unless it
+    sits inside P(t)."""
+    J = frozenset(tuple(a) for a in J)
+    Z, P = t.zp_sets()
+    if not J <= P:
+        raise JNotSubsetOfP(f"J has {len(J - P)} roots outside P(t)")
+    return J, Z, P
+
+
 def local_region(t: Weight, J) -> LocalRegion:
     if not t.is_dominant():
         raise NotDominant("local regions are labelled by dominant weights")
-    J = frozenset(tuple(a) for a in J)
-    _, P = t.zp_sets()
-    if not J <= P:
-        raise JNotSubsetOfP(f"J has {len(J - P)} roots outside P(t)")
-    return LocalRegion(t, J)
+    return LocalRegion(t, _checked_J(t, J)[0])
 
 
 @dataclass
@@ -87,10 +93,7 @@ class ChamberSet:
 
 def chamber_set(t: Weight, J) -> ChamberSet:
     """Brute-force filter of W; the ground truth everything else tests against."""
-    J = frozenset(tuple(a) for a in J)
-    Z, P = t.zp_sets()
-    if not J <= P:
-        raise JNotSubsetOfP(f"J has {len(J - P)} roots outside P(t)")
+    J, Z, P = _checked_J(t, J)
     hits = []
     for w in t.rs.weyl_elements():
         inv = w.inversion_set()
@@ -132,10 +135,7 @@ def _walk_up(rs: RootSystem, start: WeylElt, roots, banned) -> tuple:
 def chamber_set_pruned(t: Weight, J) -> ChamberSet:
     """Same contract as chamber_set, but walks the weak-order ideal
     {w : R(w) cap Z = empty, R(w) cap P subset J} up from the identity."""
-    J = frozenset(tuple(a) for a in J)
-    Z, P = t.zp_sets()
-    if not J <= P:
-        raise JNotSubsetOfP(f"J has {len(J - P)} roots outside P(t)")
+    J, Z, P = _checked_J(t, J)
     rs = t.rs
     ideal = _walk_up(rs, rs.identity(), rs.simple_roots, Z | (P - J))
     return ChamberSet(t, J, tuple(w for w in ideal

@@ -38,7 +38,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import Q_MINUS, AlgebraElt, bernstein_string
 from .errors import (DivisionByZero, EmptyRegion, MixedCosetExact, NotRegular,
@@ -128,11 +127,7 @@ class _NumericScalars:
                 for k, s in enumerate(syms)}
 
         def ev(lam):
-            expo = 2 * vec_dot(t.gamma, lam)
-            if t.ell is not None:
-                # mirrors the reduction in Weight.eval
-                expo = Fraction(2 * (int(expo // 2) % t.ell))
-            out = q0 ** float(expo)
+            out = q0 ** float(t._exponent(lam))
             for sym, k in t.tag_of(lam):
                 out *= vals[sym] ** k
             return complex(out)

@@ -198,14 +198,6 @@ def _enum_cap(mode: str) -> int:
         TYPEC_ENUM_CAP if mode == "typec" else FINITE_ENUM_CAP)
 
 
-def _closure_gate(t: Weight, J: frozenset) -> None:
-    # Theorem-level criterion: the region is nonempty iff J is closed under
-    # adding roots of Z(t).  regions.nonempty_criterion implements the same
-    # check; calling through keeps a single source of truth.
-    if not regions.nonempty_criterion(t, J):
-        raise EmptyRegion("J is not closed under Z(t); the chamber set is empty")
-
-
 # ---------------------------------------------------------------------------
 # canonical placement
 # ---------------------------------------------------------------------------
@@ -335,14 +327,22 @@ def _render_page(nodes, content_of, pairs, chains) -> dict:
             placements[b] = x[b] + offset
         prev_max_x = max(placements[b] for b in members)
         prev_max_content = c_max
-    k = max(placements[b] - content_of[b] for b in nodes)
+    return _heights(placements, content_of)
+
+
+def _heights(x, content_of) -> dict:
+    """(x, y) per box from its column x: columns start at 0, and y is the
+    content minus the column, shifted so the lowest box sits at height 0.
+    Stacked columns arrive as Fractions (the offsets add contents)."""
+    base = min(x.values())
+    k = max(x[b] - base - content_of[b] for b in x)
     out = {}
-    for b in nodes:
-        xx = Fraction(placements[b])
-        y = content_of[b] - xx + k
-        if xx.denominator != 1 or y.denominator != 1 or y < 0:
+    for b in x:
+        col = Fraction(x[b] - base)
+        y = content_of[b] - col + k
+        if col.denominator != 1 or y.denominator != 1 or y < 0:
             raise HeckeError("box coordinates must be nonnegative integers")
-        out[b] = (int(xx), int(y))
+        out[b] = (int(col), int(y))
     return out
 
 
@@ -389,15 +389,7 @@ def _render_symmetric_page(nodes, content_of, pairs, chains) -> dict:
         x = _least_positions(nodes, lower_edges, x)
     if len(sums()) != 1:
         raise HeckeError("rotation symmetrisation failed to converge")
-    base = min(x.values())
-    k = max(x[b] - base - content_of[b] for b in nodes)
-    out = {}
-    for b in nodes:
-        xx = x[b] - base
-        y = content_of[b] - xx + k
-        if y.denominator != 1 or y < 0:
-            raise HeckeError("box heights must be nonnegative integers")
-        out[b] = (xx, int(y))
+    out = _heights(x, content_of)
     sx = {out[b][0] + out[-b][0] for b in nodes}
     sy = {out[b][1] + out[-b][1] for b in nodes}
     if len(sx) != 1 or len(sy) != 1:
@@ -500,16 +492,26 @@ def _page_label(c: Fraction) -> Fraction:
     return c - (c.numerator // c.denominator)
 
 
-def _make_pairs(indices, content_of, J, zp, wrap_ell=None):
-    """Z and P pairs (a, b), a < b, among the boxes with the given indices
-    (signed in type C, where the ambient dimension is the largest index).
+def _pairs_and_chains(t, J, indices, content_of, page_of):
+    """(J, pairs, chains) of a region drawn on the boxes with the given
+    indices (signed in type C, where the ambient dimension is the largest
+    index).
 
-    zp = (Z, P) from the weight; wrap_ell marks pairs whose contents differ
-    by ell - 1 as wrap pairs, flagged by the root-of-unity placement table:
-    an in-J wrap pair is drawn southeast, an out-of-J wrap pair northwest,
-    the reverse of the rule inside one period.
+    J must sit inside P(t) and, away from a root of unity, be closed under
+    Z(t) (the theorem's nonemptiness criterion, regions.nonempty_criterion);
+    otherwise the chamber set is empty and there is nothing to draw.  Pairs
+    (a, b), a < b, are the boxes whose root lies in Z(t) or P(t).  At a root
+    of unity, pairs whose contents differ by ell - 1 are wrap pairs, flagged
+    by the root-of-unity placement table: an in-J wrap pair is drawn
+    southeast, an out-of-J wrap pair northwest, the reverse of the rule
+    inside one period.  Chains list the boxes of each diagonal of each page.
     """
-    Z, P = zp
+    J = _coerce_J(J)
+    Z, P = t.zp_sets()
+    if not J <= P:
+        raise JNotSubsetOfP("J must consist of roots with t(X^alpha) = q^(+-2)")
+    if t.ell is None and not regions.nonempty_criterion(t, J):
+        raise EmptyRegion("J is not closed under Z(t); the chamber set is empty")
     indices = sorted(indices)
     n = indices[-1]
     pairs = []
@@ -520,24 +522,16 @@ def _make_pairs(indices, content_of, J, zp, wrap_ell=None):
                 pairs.append(BoxPair(a, b, root, "Z", False, None))
             elif root in P:
                 in_J = root in J
-                wrap = (wrap_ell is not None
+                wrap = (t.ell is not None
                         and content_of[b] - content_of[a] != 1)
-                if wrap:
-                    flag = "SE" if in_J else "NW"
-                else:
-                    flag = "NW" if in_J else "SE"
+                flag = "NW" if in_J != wrap else "SE"
                 pairs.append(BoxPair(a, b, root, "P", in_J, flag, wrap))
-    return tuple(pairs)
-
-
-def _chains(indices, content_of, page_of):
     by_diag = {}
     for b in indices:
         by_diag.setdefault((page_of[b], content_of[b]), []).append(b)
-    chains = []
-    for key in sorted(by_diag, key=lambda k: (str(k[0]), k[1])):
-        chains.append(tuple(sorted(by_diag[key])))
-    return tuple(chains)
+    chains = tuple(tuple(by_diag[key]) for key in
+                   sorted(by_diag, key=lambda k: (str(k[0]), k[1])))
+    return J, tuple(pairs), chains
 
 
 def region_to_configuration(t, J) -> PlacedConfiguration:
@@ -553,7 +547,6 @@ def region_to_configuration(t, J) -> PlacedConfiguration:
         raise UnsupportedType("use typec_configuration for type C regions")
     if t.ell is not None:
         raise BadEll("use periodic_configuration for root-of-unity weights")
-    J = _coerce_J(J)
     gamma = t.gamma
     n = len(gamma)
     seen = []
@@ -566,14 +559,10 @@ def region_to_configuration(t, J) -> PlacedConfiguration:
     for a in range(n - 1):
         if _page_label(gamma[a]) == _page_label(gamma[a + 1]) and gamma[a] > gamma[a + 1]:
             raise NotDominant("entries must increase weakly along each page")
-    _, P = t.zp_sets()
-    if not J <= P:
-        raise JNotSubsetOfP("J must consist of roots with t(X^alpha) = q^(+-2)")
-    _closure_gate(t, J)
     content_of = {b: gamma[b - 1] for b in range(1, n + 1)}
     page_of = {b: _page_label(gamma[b - 1]) for b in range(1, n + 1)}
-    pairs = _make_pairs(range(1, n + 1), content_of, J, t.zp_sets())
-    chains = _chains(range(1, n + 1), content_of, page_of)
+    J, pairs, chains = _pairs_and_chains(t, J, range(1, n + 1), content_of,
+                                         page_of)
     boxes = []
     for lab in seen:
         members = [b for b in range(1, n + 1) if page_of[b] == lab]
@@ -639,24 +628,6 @@ def _order_edges(config):
     return edges
 
 
-def _has_order_cycle(indices, edges) -> bool:
-    succs = {b: [] for b in indices}
-    indeg = {b: 0 for b in indices}
-    for u, v in edges:
-        succs[u].append(v)
-        indeg[v] += 1
-    queue = [b for b in indices if indeg[b] == 0]
-    seen = 0
-    while queue:
-        b = queue.pop()
-        seen += 1
-        for v in succs[b]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    return seen != len(indices)
-
-
 def enumerate_standard(config: PlacedConfiguration):
     """All standard fillings, in increasing lexicographic order of their
     entry tuples.  Raises TooLarge past the enumeration cap, which the
@@ -668,18 +639,17 @@ def enumerate_standard(config: PlacedConfiguration):
     values.  In type C only -n..-1 are dealt; dealing -v to box b puts v in
     the mirror box -b, which takes that box out of play.  The edge set is
     closed under (u, v) -> (-v, -u), so the forced values 1..n respect it.
+    A box on a cycle of the edges (and, in type C, its mirror) is never
+    dealt, so an order with a cycle has no fillings.
     """
     limit = _enum_cap(config.mode)
     if config.n > limit:
         raise TooLarge(f"{config.n} boxes exceeds the enumeration cap {limit}")
     signed = config.mode == "typec"
     indices = [b.index for b in config.boxes]
-    edges = _order_edges(config)
-    if _has_order_cycle(indices, edges):
-        return ()
     succs = {b: [] for b in indices}
     preds = {b: 0 for b in indices}
-    for u, v in edges:
+    for u, v in _order_edges(config):
         succs[u].append(v)
         preds[v] += 1
     last = -1 if signed else config.n
@@ -714,7 +684,10 @@ def enumerate_standard(config: PlacedConfiguration):
 
 def filling_from_entries(config: PlacedConfiguration, entries) -> StandardFilling:
     """Wrap raw entries as a filling; for type C, entries may cover just the
-    positive boxes (the negative half is forced by p(-b) = -p(b))."""
+    positive boxes (the negative half is forced by p(-b) = -p(b)).  A
+    StandardFilling comes back as it is."""
+    if isinstance(entries, StandardFilling):
+        return entries
     indices = tuple(b.index for b in config.boxes)
     entries = _whole(entries, NotStandard, "entries")
     if config.mode == "typec" and len(entries) == config.n:
@@ -732,8 +705,7 @@ def validate_filling(config: PlacedConfiguration, filling) -> tuple:
     must increase to the southeast along a diagonal, and an adjacent pair
     inverts exactly when its root lies in J (entries compared in the signed
     order for type C)."""
-    if not isinstance(filling, StandardFilling):
-        filling = filling_from_entries(config, filling)
+    filling = filling_from_entries(config, filling)
     val = filling.as_dict()
     bad = []
     if config.mode == "typec":
@@ -772,8 +744,7 @@ def filling_to_word(config: PlacedConfiguration, filling):
     The one-line word lists the entries of boxes 1..n; the axial distance
     from entry i to entry j is the content of the box of j minus the
     content of the box of i."""
-    if not isinstance(filling, StandardFilling):
-        filling = filling_from_entries(config, filling)
+    filling = filling_from_entries(config, filling)
     bad = validate_filling(config, filling)
     if bad:
         pairs = sorted((v["i"], v["j"]) for v in bad if v["i"] is not None)
@@ -864,9 +835,8 @@ def classify_configuration(config: PlacedConfiguration):
         if len(config.pages()) == 1:
             algebraic = regions.is_skew(config.region)
         else:
-            algebraic = True
-            for _, page in build_book(config.t, config.J):
-                algebraic = algebraic and regions.is_skew(page.region)
+            algebraic = all(regions.is_skew(page.region)
+                            for _, page in build_book(config.t, config.J))
         if geometric != algebraic:
             raise HeckeError(
                 "window scan and calibratability disagree on skewness")
@@ -878,26 +848,30 @@ def classify_configuration(config: PlacedConfiguration):
 # ---------------------------------------------------------------------------
 
 
+def _conjugate(config: PlacedConfiguration):
+    """(conjugate configuration, one-line word of u): box b of the region
+    becomes box u(b) of its conjugate."""
+    conj = regions.conjugate(config.region)
+    return (region_to_configuration(conj.region.t, conj.region.J),
+            conj.u.one_line())
+
+
 def conjugate_configuration(config: PlacedConfiguration) -> PlacedConfiguration:
     """The conjugate configuration (contents negated, box b sent to box
     u(b)); applying it twice returns the original region."""
     if config.mode != "finite" or len(config.pages()) != 1:
         raise UnsupportedType("conjugation needs a one-page finite region")
-    conj = regions.conjugate(config.region)
-    return region_to_configuration(conj.region.t, conj.region.J)
+    return _conjugate(config)[0]
 
 
 def conjugate_filling(config: PlacedConfiguration, filling):
     """Carry a standard filling across conjugation: box u(b) of the
     conjugate receives the entry of box b."""
-    if not isinstance(filling, StandardFilling):
-        filling = filling_from_entries(config, filling)
+    filling = filling_from_entries(config, filling)
     bad = validate_filling(config, filling)
     if bad:
         raise NotStandard("only standard fillings are carried across")
-    conj = regions.conjugate(config.region)
-    u = conj.u.one_line()
-    cfg2 = region_to_configuration(conj.region.t, conj.region.J)
+    cfg2, u = _conjugate(config)
     val = filling.as_dict()
     entries2 = {u[b - 1]: val[b] for b in range(1, config.n + 1)}
     f2 = filling_from_entries(cfg2, [entries2[b] for b in range(1, config.n + 1)])
@@ -912,9 +886,9 @@ def conjugate_filling(config: PlacedConfiguration, filling):
 
 
 def _minimal_box(config, remaining) -> int:
-    cells = {(config.box(b).x, config.box(b).y): b for b in remaining}
-    info = {b: (config.box(b).x, config.box(b).y, config.box(b).content)
-            for b in remaining}
+    info = {b.index: (b.x, b.y, b.content) for b in config.boxes
+            if b.index in remaining}
+    cells = {(x, y): b for b, (x, y, _) in info.items()}
     cands = []
     for b in remaining:
         x, y, c = info[b]
@@ -968,9 +942,7 @@ def reading_tableaux(config: PlacedConfiguration):
     p_max = filling_from_entries(config, ivs.w_max.one_line())
     if validate_filling(config, p_max):
         raise HeckeError("interval ceiling is not a standard filling")
-    conj = regions.conjugate(config.region)
-    u = conj.u.one_line()
-    cfg2 = region_to_configuration(conj.region.t, conj.region.J)
+    cfg2, u = _conjugate(config)
     entry2 = _column_reading(cfg2)
     carried = tuple(entry2[u[b - 1]] for b in range(1, config.n + 1))
     if carried != tuple(p_max.entries):
@@ -1007,15 +979,10 @@ def periodic_configuration(t, J, ell=None) -> PlacedConfiguration:
     n = len(gamma)
     if any(gamma[a] > gamma[a + 1] for a in range(n - 1)):
         raise NotDominant("arrange the entries weakly increasing in 0..ell-1")
-    J = _coerce_J(J)
-    _, P = t.zp_sets()
-    if not J <= P:
-        raise JNotSubsetOfP("J must consist of roots with t(X^alpha) = q^(+-2)")
     content_of = {b: gamma[b - 1] for b in range(1, n + 1)}
     page_of = {b: Fraction(0) for b in range(1, n + 1)}
-    pairs = _make_pairs(range(1, n + 1), content_of, J, t.zp_sets(),
-                        wrap_ell=ell)
-    chains = _chains(range(1, n + 1), content_of, page_of)
+    J, pairs, chains = _pairs_and_chains(t, J, range(1, n + 1), content_of,
+                                         page_of)
     try:
         placed = _render_page(list(range(1, n + 1)), content_of, pairs, chains)
     except HeckeError as e:
@@ -1068,11 +1035,6 @@ def typec_configuration(t, J, case: str) -> PlacedConfiguration:
         raise NotDominant("arrange the entries weakly increasing")
     if case in ("half", "zero") and gamma[0] < 0:
         raise NotDominant("cases half and zero list the nonnegative entries")
-    J = _coerce_J(J)
-    _, P = t.zp_sets()
-    if not J <= P:
-        raise JNotSubsetOfP("J must consist of roots with t(X^alpha) = q^(+-2)")
-    _closure_gate(t, J)
     indices = list(range(-n, 0)) + list(range(1, n + 1))
     f = _page_label(gamma[0]) if case == "beta" else Fraction(0)
     content_of = {}
@@ -1080,7 +1042,7 @@ def typec_configuration(t, J, case: str) -> PlacedConfiguration:
         content_of[b] = gamma[b - 1] - f
         content_of[-b] = -content_of[b]
     page_of = {b: (f if b > 0 else -f) for b in indices}
-    pairs = _make_pairs(indices, content_of, J, t.zp_sets())
+    J, pairs, chains = _pairs_and_chains(t, J, indices, content_of, page_of)
     for p in pairs:
         if page_of[p.i] != page_of[p.j]:
             raise CaseMismatch("a coupled pair of boxes crosses pages")
@@ -1088,7 +1050,6 @@ def typec_configuration(t, J, case: str) -> PlacedConfiguration:
             raise HeckeError("a Z pair must share its diagonal")
         if p.kind == "P" and content_of[p.j] - content_of[p.i] != 1:
             raise HeckeError("a P pair must join adjacent diagonals")
-    chains = _chains(indices, content_of, page_of)
     boxes = {}
     if case == "beta":
         pos = list(range(1, n + 1))
@@ -1120,7 +1081,7 @@ def typec_configuration(t, J, case: str) -> PlacedConfiguration:
 
 def render_text(config: PlacedConfiguration, filling=None) -> str:
     """ASCII picture, one block per page, y decreasing down the screen."""
-    if filling is not None and not isinstance(filling, StandardFilling):
+    if filling is not None:
         filling = filling_from_entries(config, filling)
     val = filling.as_dict() if filling else None
     lines = []
@@ -1175,8 +1136,7 @@ def to_dict(config: PlacedConfiguration, filling=None) -> dict:
         "period": list(config.period) if config.period else None,
     }
     if filling is not None:
-        if not isinstance(filling, StandardFilling):
-            filling = filling_from_entries(config, filling)
+        filling = filling_from_entries(config, filling)
         out["filling"] = [
             {"index": i, "entry": e}
             for i, e in zip(filling.indices, filling.entries)]

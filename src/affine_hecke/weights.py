@@ -113,10 +113,15 @@ class Weight:
         if net != TRIVIAL_TAG:
             raise MixedCosetExact(
                 f"X^{lam} carries coset tag {format_tag(net)}; no exact value")
+        return ExactScalar.q_power(self._exponent(lam))
+
+    def _exponent(self, lam) -> Fraction:
+        """The power of q in t(X^lam): 2<gamma, lam>, or at a root of unity
+        2 (floor(<gamma, lam>) mod ell)."""
         expo = 2 * vec_dot(self.gamma, lam)
         if self.ell is not None:
             expo = Fraction(2 * (int(expo // 2) % self.ell))
-        return ExactScalar.q_power(expo)
+        return expo
 
     # -- W-action ---------------------------------------------------------------
 

@@ -159,3 +159,41 @@ def _is_span_solve(node):
 
 def test_span_solves_serve_two_callers():
     assert _reads_in_src(_is_span_solve) == SPAN_SOLVERS
+
+
+# J is checked against P(t) in one place per module: regions' J check and
+# the assembly step that the three tableaux builders share.
+J_CHECKERS = {"regions.py:_checked_J", "tableaux.py:_pairs_and_chains"}
+
+
+def _is_j_refusal(node):
+    return (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and isinstance(node.exc.func, ast.Name)
+            and node.exc.func.id == "JNotSubsetOfP")
+
+
+def test_j_is_checked_against_p_in_two_places():
+    assert _reads_in_src(_is_j_refusal) == J_CHECKERS
+
+
+def _is_closure_gate(node):
+    return (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "nonempty_criterion")
+
+
+def test_builders_share_one_closure_gate():
+    assert _reads_in_src(_is_closure_gate) == {
+        "tableaux.py:_pairs_and_chains"}
+
+
+def _is_filling_coercion(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2
+            and isinstance(node.args[1], ast.Name)
+            and node.args[1].id == "StandardFilling")
+
+
+def test_fillings_are_coerced_in_one_place():
+    assert _reads_in_src(_is_filling_coercion) == {
+        "tableaux.py:filling_from_entries"}

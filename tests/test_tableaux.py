@@ -446,11 +446,13 @@ def test_validate_filling_names_each_kind_of_violation():
 
 def test_a_picture_that_is_not_a_skew_shape_is_refused():
     # two boxes on one diagonal step down to the east, and a gap between
-    # diagonals splits a row
-    with pytest.raises(NotSkew, match="nest like a skew shape"):
-        tb.configuration_to_skew(tb.region_to_configuration((0, 0), []))
-    with pytest.raises(NotSkew, match="contiguous segment"):
-        tb.configuration_to_skew(tb.region_to_configuration((0, 0, 2), []))
+    # diagonals splits a row; the window scan finds both
+    for gamma, match in (((0, 0), "nest like a skew shape"),
+                         ((0, 0, 2), "contiguous segment")):
+        cfg = tb.region_to_configuration(gamma, [])
+        assert tb.classify_configuration(cfg) == (False, False)
+        with pytest.raises(NotSkew, match=match):
+            tb.configuration_to_skew(cfg)
     row = tb.region_to_configuration((0, 1), [])
     lifted = dataclasses.replace(row, boxes=(
         row.boxes[0], dataclasses.replace(row.boxes[1], y=2)))
@@ -465,9 +467,10 @@ def test_a_picture_that_is_not_a_skew_shape_is_refused():
             tb.periodic_configuration((0, 1, 2), [], ell=4))
 
 
-def test_a_mismatch_with_the_chamber_set_names_a_witness():
-    # the hook's fillings against the region of its transpose J, and one
-    # row's filling against a generic weight, whose chamber set is all of W
+def test_a_mismatch_with_the_chamber_set_names_a_witness(monkeypatch):
+    # the hook's fillings against the region of its transpose J, one row's
+    # filling against a generic weight, whose chamber set is all of W, and
+    # a row past the enumeration cap
     hook = tb.region_to_configuration(*tb.skew_to_region((2, 1)))
     report = tb.verify_bijection(hook, rg.local_region(hook.t, []))
     assert report == tb.BijectionReport(
@@ -476,6 +479,10 @@ def test_a_mismatch_with_the_chamber_set_names_a_witness():
     report = tb.verify_bijection(one_row(3), rg.local_region(generic, []))
     assert report == tb.BijectionReport(
         False, 1, 6, "word (1, 3, 2) has no standard filling")
+    monkeypatch.setenv(tb.ENUM_CAP_ENV, "2")
+    assert tb.verify_bijection(one_row(3)) == tb.BijectionReport(
+        False, -1, -1, "enumeration failed: 3 boxes exceeds the enumeration "
+        "cap 2")
 
 
 def test_one_page_finite_routines_refuse_other_configurations():
