@@ -2,14 +2,15 @@
 
 Each generator matrix is stored as sparse columns: column k is a {row: entry}
 dict of the nonzero entries of the image of basis vector k. In both bases
-built here a T column has at most two entries. Products, shifts and powers
-apply the columns (_apply), and triangular solves, X^-1 and tau's
-(1 - X^-alpha)^-1 included, are one back-substitution (_coordinates).
-The dense row tuples t_mats and x_mats are a view, built once from the
-columns, for the numpy routes and describe(). Under upper triangular X,
-_weight_basis is the one basis of each generalized weight space: weight
-spaces, the commutant and tau operators read coordinates in it and rank them
-with _nullity.
+built here a T column has at most two entries. Every X is upper triangular in
+the module basis, as both constructions of the paper present it (the
+length-ordered T_w basis and the seminormal weight basis); ModuleRep refuses
+any other X. Products, shifts and powers apply the columns (_apply), and
+triangular solves, X^-1 and tau's (1 - X^-alpha)^-1 included, are one
+back-substitution (_coordinates). The dense row tuples t_mats and x_mats are
+a view, built once from the columns, for describe(). _weight_basis is the one
+basis of each generalized weight space: weight spaces, the commutant and tau
+operators read coordinates in it and rank them with _nullity.
 
 Entries live over the scalars object each module holds, which gives its
 backend, q0, tolerance (also what counts as a zero entry), q-powers and weight
@@ -41,11 +42,11 @@ from dataclasses import dataclass
 
 from .algebra import Q_MINUS, AlgebraElt, bernstein_string
 from .errors import (DivisionByZero, EmptyRegion, MixedCosetExact, NotRegular,
-                     NotSkew, NumericIllConditioned, TooLarge, UndefinedTau,
+                     NotSkew, NumericIllConditioned, UndefinedTau,
                      UnsupportedType)
 from .regions import LocalRegion, chamber_set_pruned, is_skew
-from .rootsys import (RootSystem, WeylElt, _rank_nullspace, _solve_in_span,
-                      vec, vec_dot, vec_neg)
+from .rootsys import (RootSystem, WeylElt, _rank_nullspace, vec, vec_dot,
+                      vec_neg)
 from .scalars import ExactScalar, near
 from .weights import TRIVIAL_TAG, Weight
 
@@ -254,23 +255,11 @@ def _is_diagonal(cols) -> bool:
 
 
 def _inverse(cols, ops) -> tuple:
-    """The sparse columns of the inverse of a square matrix given by sparse
-    columns, DivisionByZero if it is singular: _coordinates when it is upper
-    triangular, as every builder's X is, else exact elimination or numpy."""
-    n, basis = len(cols), dict(enumerate(cols))
-    units = [{k: ops.one()} for k in range(n)]
-    if _is_upper(cols):
-        return tuple(_coordinates(e, basis, ops) for e in units)
-    rows = _columns_to_dense(cols, n, ops)
-    try:
-        if ops.exact:
-            inv = _solve_in_span(rows, _columns_to_dense(units, n, ops), ops)
-        else:
-            import numpy as np
-            inv = np.linalg.inv(np.array(rows, dtype=complex)).tolist()
-    except ValueError:   # numpy's LinAlgError is a ValueError
-        raise DivisionByZero("matrix is singular") from None
-    return _sparse_columns(_dense_to_columns(inv, n), n, ops)
+    """The sparse columns of the inverse of an upper triangular matrix given
+    by sparse columns, by _coordinates; DivisionByZero if it is singular."""
+    basis = dict(enumerate(cols))
+    return tuple(_coordinates({k: ops.one()}, basis, ops)
+                 for k in range(len(cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +271,10 @@ class ModuleRep:
 
     t_cols[i] is the action of the i-th standard generator, x_cols[k] the
     action of X^g for the k-th lattice generator g, each a tuple of sparse
-    {row: entry} columns without zero entries. t_mats and x_mats are the same
-    matrices as dense row tuples, built on first use. Matrices are immutable;
-    the caches only hold views and products of them, and the weight groups.
+    {row: entry} columns without zero entries. Every X is upper triangular,
+    UnsupportedType otherwise. t_mats and x_mats are the same matrices as
+    dense row tuples, built on first use. Matrices are immutable; the caches
+    only hold views and products of them, and the weight groups.
     """
 
     __slots__ = ("rs", "kind", "basis", "basis_weights", "t_cols", "x_cols",
@@ -304,6 +294,9 @@ class ModuleRep:
             raise ValueError("one X matrix per lattice generator")
         self.t_cols = tuple(_sparse_columns(m, d, scalars) for m in t_cols)
         self.x_cols = tuple(_sparse_columns(m, d, scalars) for m in x_cols)
+        if not all(map(_is_upper, self.x_cols)):
+            raise UnsupportedType(
+                "X matrices must be upper triangular in the module basis")
         self.weight = weight
         self.basis_weights = (None if basis_weights is None
                               else tuple(basis_weights))
@@ -321,7 +314,11 @@ class ModuleRep:
     def from_matrices(cls, rs: RootSystem, basis, t_mats, x_mats, *,
                       weight=None, basis_weights=None, backend="exact",
                       q0=None, kind="custom", verify=True):
-        """A module from dense matrices, given as sequences of rows."""
+        """A module from dense matrices, given as sequences of rows.
+
+        Every X must be upper triangular once the entries the scalars count
+        as zero are dropped (UnsupportedType otherwise), and basis_weights,
+        when given, must match the X diagonals."""
         _check_backend(backend, ("exact", "numeric"))
         if backend == "numeric":
             scalars = _NumericScalars(weight, q0)
@@ -334,7 +331,7 @@ class ModuleRep:
                   [_dense_to_columns(m, len(basis)) for m in t_mats],
                   [_dense_to_columns(m, len(basis)) for m in x_mats],
                   scalars, weight=weight, basis_weights=basis_weights)
-        if rep.basis_weights is not None and all(map(_is_upper, rep.x_cols)):
+        if rep.basis_weights is not None:
             zero = scalars.zero()
             gens = rs.lattice_generators()
             for k, wt in enumerate(rep.basis_weights):
@@ -663,24 +660,18 @@ def _group_equal(keys) -> list:
 def weight_decomposition(rep: ModuleRep) -> WeightSpaceDecomp:
     """Generalized and plain weight space dimensions, read off the matrices.
 
-    Directions are grouped by joint X character: basis vectors by the X
-    diagonals when every X is upper triangular (as the builders here make
-    them), else eigenvectors of a generic combination of the X. Exact modules
-    of the second kind are read at q0 through a numeric copy. A group's size
-    is its generalized dimension. A group of one is a weight line; for a
-    larger one the plain dimension is the joint kernel of the X_g - chi_g,
-    read in the group's _weight_basis when X is triangular, and ranked by
-    _nullity. An X leaving a generalized weight space, as X that do not
-    commute do, raises NumericIllConditioned.
+    Basis vectors are grouped by joint X character, read off the diagonals
+    of the upper triangular X (_weight_groups). A group's size is its
+    generalized dimension. A group of one is a weight line; for a larger one
+    the plain dimension is the joint kernel of the X_g - chi_g, read in the
+    group's _weight_basis and ranked by _nullity. An X leaving a generalized
+    weight space, as X that do not commute do, raises NumericIllConditioned.
     """
     ops = rep._ops
     d = rep.dim
-    triangular = all(map(_is_upper, rep.x_cols))
-    if ops.exact and not triangular:
-        return weight_decomposition(_specialized_copy(rep))
     groups, keys = _weight_groups(rep)
 
-    if triangular and rep.basis_weights is not None:
+    if rep.basis_weights is not None:
         by_weight = _group_equal(rep.basis_weights)
         if sorted(map(sorted, by_weight)) != sorted(map(sorted, groups)):
             raise NumericIllConditioned(
@@ -689,9 +680,7 @@ def weight_decomposition(rep: ModuleRep) -> WeightSpaceDecomp:
     labels, spaces = [], {}
     for group in groups:
         key = keys[group[0]]
-        if not triangular:
-            label = _match_weight_label(rep, key)
-        elif rep.basis_weights is not None:
+        if rep.basis_weights is not None:
             label = rep.basis_weights[group[0]]
         else:
             label = "diag:" + ",".join(str(x) for x in key)
@@ -699,18 +688,13 @@ def weight_decomposition(rep: ModuleRep) -> WeightSpaceDecomp:
             # commuting operators share an eigenvector in each nonzero
             # generalized weight space, so a line is a weight line
             plain = 1
-        elif triangular:
+        else:
             space = _weight_basis(rep.x_cols, group, ops)
             rows = [row for m, c in zip(rep.x_cols, key)
                     for row in _coordinate_matrix(
                         [_add_scaled(_apply(m, v, ops), -c, v)
                          for v in space.values()], space, ops)]
             plain = _nullity(rows, len(group), ops)
-        else:
-            rows = [[x - c if r == k else x for k, x in enumerate(row)]
-                    for m, c in zip(rep.x_mats, key)
-                    for r, row in enumerate(m)]
-            plain = _nullity(rows, d, ops)
         labels.append(label)
         spaces[label] = (plain, len(group))
     total = sum(v[1] for v in spaces.values())
@@ -720,52 +704,17 @@ def weight_decomposition(rep: ModuleRep) -> WeightSpaceDecomp:
 
 
 def _weight_groups(rep: ModuleRep):
-    """(groups, keys): directions grouped by joint X character, and keys[k]
-    the character of direction k, one entry per X generator.
-
-    With upper triangular X, direction k is basis vector k, keyed by the X
-    diagonals. Otherwise (numeric modules only) it is eigenvector k of a
-    generic combination of the X, keyed by its Rayleigh quotients; a
-    defective character splits there into clusters whose eigenvectors are
-    parallel up to rounding, which raises NumericIllConditioned. Computed
-    once per module; callers do not modify the lists.
+    """(groups, keys): basis indices grouped by joint X character, and
+    keys[k] the character at basis vector k, read off the diagonals of the
+    upper triangular X, one entry per X generator. Computed once per module;
+    callers do not modify the lists.
     """
-    if rep._groups is not None:
-        return rep._groups
-    ops = rep._ops
-    if all(map(_is_upper, rep.x_cols)):
-        zero = ops.zero()
+    if rep._groups is None:
+        zero = rep._ops.zero()
         keys = [tuple(m[k].get(k, zero) for m in rep.x_cols)
                 for k in range(rep.dim)]
-        rep._groups = _character_groups(keys, ops.exact), keys
-        return rep._groups
-    import numpy as np
-    xs = np.array(rep.x_mats, dtype=complex)
-    # 1 and the square roots of distinct primes are linearly independent over
-    # Q(i), so joint characters that differ by Gaussian integers (entries in
-    # {1, i, -1, -i} at ell = 4) cannot share an eigenvalue of the combination
-    coeffs = [0.5 + math.sqrt(p) % 1.0
-              for p in itertools.islice(_primes(), len(xs))]
-    vecs = np.linalg.eig(sum(c * x for c, x in zip(coeffs, xs)))[1].T
-    keys = [tuple(complex(v.conj() @ (x @ v) / (v.conj() @ v))
-                  for x in xs) for v in vecs]
-    groups = _character_groups(keys, False)
-    owner = {k: n for n, group in enumerate(groups) for k in group}
-    cos = np.abs(vecs.conj() @ vecs.T)   # eig returns unit eigenvectors
-    if any(owner[i] != owner[j] for i, j in np.argwhere(cos > 1 - RANK_TOL)):
-        raise NumericIllConditioned(
-            "eigenvectors of distinct clusters are parallel: the X matrices "
-            "have a Jordan block that the eigensolver split")
-    rep._groups = groups, keys
+        rep._groups = _character_groups(keys, rep._ops.exact), keys
     return rep._groups
-
-
-def _primes():
-    found = []
-    for p in itertools.count(2):
-        if all(p % f for f in found):
-            found.append(p)
-            yield p
 
 
 def _character_groups(keys, exact: bool) -> list:
@@ -855,18 +804,6 @@ def _specialized_copy(rep: ModuleRep) -> ModuleRep:
                      [spec(m) for m in rep.x_cols], ops,
                      weight=rep.weight, basis_weights=rep.basis_weights,
                      region=rep.region)
-
-
-def _match_weight_label(rep: ModuleRep, chars):
-    fallback = "char:" + ",".join(f"{c:.6g}" for c in chars)
-    if rep.basis_weights is None:
-        return fallback
-    gens = rep.rs.lattice_generators()
-    for wt in dict.fromkeys(rep.basis_weights):
-        ev = rep._ops.at(wt).ev
-        if all(near(ev(g), c, 10 * RANK_TOL) for g, c in zip(gens, chars)):
-            return wt
-    return fallback
 
 
 # ---------------------------------------------------------------------------
@@ -1012,15 +949,12 @@ def kato_irreducible(t: Weight) -> bool:
 def commutant_dim(rep: ModuleRep, method: str = "auto") -> int:
     """Dimension of the algebra of matrices commuting with all generators.
 
-    Two routes. With every X upper triangular (as the builders here make
-    them) a commuting matrix keeps each generalized weight space, so it is
-    solved block by block in a basis of generalized weight vectors, at any
-    dimension (_block_commutant). Otherwise a dense numeric solve runs over
-    all d^2 unknowns (dim <= 24). method="auto" takes the block route over
-    the module's scalars, but solves an exact module whose X is not
+    A commuting matrix keeps each generalized weight space of the upper
+    triangular X, so it is solved block by block in a basis of generalized
+    weight vectors, at any dimension (_block_commutant). method="auto" solves
+    over the module's scalars, but solves an exact module whose X is not
     diagonal at q0, on a numeric copy, where exact elimination is far
-    slower. method="exact" takes the block route in exact scalars, for exact
-    modules with upper triangular X only.
+    slower. method="exact" solves in exact scalars, for exact modules only.
     """
     if method not in ("auto", "exact"):
         raise ValueError(
@@ -1029,11 +963,6 @@ def commutant_dim(rep: ModuleRep, method: str = "auto") -> int:
     if method == "exact" and not ops.exact:
         raise ValueError(f"method 'exact' needs an exact module, not a "
                          f"{rep.backend!r} one")
-    if not all(map(_is_upper, rep.x_cols)):
-        if method == "exact":
-            raise UnsupportedType(
-                "the exact commutant needs upper triangular X matrices")
-        return _numeric_commutant(rep)
     if (method == "auto" and ops.exact
             and not all(map(_is_diagonal, rep.x_cols))):
         rep = _specialized_copy(rep)
@@ -1183,28 +1112,6 @@ def _coordinate_matrix(vectors, basis: dict, ops) -> tuple:
          for y in vectors], len(basis), ops)
 
 
-def _numeric_commutant(rep: ModuleRep) -> int:
-    import numpy as np
-    d = rep.dim
-    if d > 24:
-        raise TooLarge(
-            "numeric commutant solve is limited to dim <= 24; "
-            "modules with triangular X use the weight-basis route instead")
-    if rep._ops.exact:
-        rep = _specialized_copy(rep)
-    eye = np.eye(d)
-    gens = rep.t_mats + rep.x_mats
-    dd = d * d
-    # filled in place: stacking per-generator blocks held each twice
-    stacked = np.empty((len(gens) * dd, dd), dtype=complex)
-    for k, g in enumerate(gens):
-        m = np.array(g, dtype=complex)
-        block = stacked[k * dd:(k + 1) * dd]
-        block[...] = np.kron(eye, m)
-        block -= np.kron(m.T, eye)
-    return _numeric_nullity(stacked)
-
-
 # ---------------------------------------------------------------------------
 # tau operators on generalized weight spaces
 # ---------------------------------------------------------------------------
@@ -1217,8 +1124,6 @@ def _weight_space(rep: ModuleRep, t: Weight) -> dict:
     group = [k for k, bw in enumerate(rep.basis_weights) if bw == t]
     if not group:
         raise ValueError("weight does not occur in this module")
-    if not all(map(_is_upper, rep.x_cols)):
-        raise UnsupportedType("weight spaces need upper triangular X")
     if group not in _weight_groups(rep)[0]:
         raise NumericIllConditioned(
             "diagonal clustering disagrees with the stored weights")
@@ -1227,7 +1132,7 @@ def _weight_space(rep: ModuleRep, t: Weight) -> dict:
 
 def generalized_weight_basis(rep: ModuleRep, t: Weight):
     """Column basis (d x m matrix) of the generalized weight space at t, the
-    vectors of _weight_space; UnsupportedType unless X is upper triangular."""
+    vectors of _weight_space."""
     return _columns_to_dense(_weight_space(rep, t).values(), rep.dim, rep._ops)
 
 
@@ -1253,8 +1158,8 @@ def tau_operator(i: int, t: Weight, rep: ModuleRep) -> TauOperator:
     """The intertwiner from the t space to the reflected one.
 
     Only defined when t is off the reflection wall for the i-th simple root;
-    UndefinedTau otherwise, and UnsupportedType unless X is upper triangular.
-    DivisionByZero where 1 - X^-alpha is singular on the t space.
+    UndefinedTau otherwise. DivisionByZero where 1 - X^-alpha is singular
+    on the t space.
     """
     rs = rep.rs
     alpha = rs.simple_roots[i]

@@ -19,7 +19,9 @@ vector an integer matrix product, the matrix built once per element.
 
 Exact Gaussian elimination lives here once (_rref): solve_linear over
 Fractions, and the module code over exact scalars through an ops object.
-Elimination is exact only; numeric modules rank and invert through numpy.
+Elimination is exact only: numeric modules rank by singular values
+(repn._numeric_nullity), and every module inverts its upper triangular X by
+back-substitution (repn._coordinates).
 """
 
 from __future__ import annotations

@@ -433,32 +433,6 @@ class ExactScalar:
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def common_scale(*rationals) -> int:
-    """Least D such that v = q^(1/D) expresses all given exponents."""
-    d = 1
-    for r in rationals:
-        d = lcm(d, Fraction(r).denominator)
-    return d
-
-
-def field_ops(a, b, op: str):
-    """Apply add | sub | mul | div over either scalar backend."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if isinstance(b, ExactScalar):
-            if b.is_zero():
-                raise DivisionByZero("division by zero")
-        elif abs(b) <= POLE_TOL:
-            raise DivisionByZero("division by (numerically) zero")
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def near(a: complex, b: complex, tol: float = EQ_TOL) -> bool:
     """Approximate equality with a relative-absolute mixed tolerance."""
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))

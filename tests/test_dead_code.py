@@ -117,11 +117,9 @@ def test_no_def_takes_a_cap_argument():
     assert not takes, f"defs with a cap parameter: {takes}"
 
 
-# The dense t_mats/x_mats view serves describe() and the numpy routes only;
-# every other reader works on the sparse columns.
-DENSE_VIEW_READERS = {"repn.py:describe", "repn.py:_weight_groups",
-                      "repn.py:weight_decomposition",
-                      "repn.py:_numeric_commutant"}
+# The dense t_mats/x_mats view serves describe() only; every other reader
+# works on the sparse columns.
+DENSE_VIEW_READERS = {"repn.py:describe"}
 
 
 def _is_dense_view_read(node):
@@ -129,13 +127,12 @@ def _is_dense_view_read(node):
             and node.attr in ("t_mats", "x_mats"))
 
 
-def test_the_dense_view_is_read_in_four_places():
+def test_the_dense_view_is_read_by_describe_only():
     assert _reads_in_src(_is_dense_view_read) == DENSE_VIEW_READERS
 
 
-# Every rank in repn is taken by _nullity, apart from the dense numeric
-# commutant.
-RANK_READERS = {"repn.py:_nullity", "repn.py:_numeric_commutant"}
+# Every rank in repn is taken by _nullity.
+RANK_READERS = {"repn.py:_nullity"}
 
 
 def _is_rank_call(node):
@@ -148,17 +145,44 @@ def test_ranks_go_through_one_helper():
 
 
 # Triangular solves are back-substitutions (repn._coordinates); exact span
-# solves serve solve_linear and the inverse of an X that is not upper
-# triangular.
-SPAN_SOLVERS = {"rootsys.py:solve_linear", "repn.py:_inverse"}
+# solves serve solve_linear only.
+SPAN_SOLVERS = {"rootsys.py:solve_linear"}
 
 
 def _is_span_solve(node):
     return isinstance(node, ast.Name) and node.id == "_solve_in_span"
 
 
-def test_span_solves_serve_two_callers():
+def test_span_solves_serve_solve_linear_only():
     assert _reads_in_src(_is_span_solve) == SPAN_SOLVERS
+
+
+# Every X is upper triangular in the module basis: ModuleRep.__init__ checks
+# it once, and nothing downstream tests the shape again.
+def _is_upper_read(node):
+    return isinstance(node, ast.Name) and node.id == "_is_upper"
+
+
+def test_x_is_checked_upper_triangular_in_one_place():
+    assert _reads_in_src(_is_upper_read) == {"repn.py:__init__"}
+    tree = ast.parse((SRC / "repn.py").read_text())
+    module_rep = next(node for node in tree.body
+                      if isinstance(node, ast.ClassDef)
+                      and node.name == "ModuleRep")
+    assert _reads(module_rep, "repn.py", _is_upper_read) == [
+        "repn.py:__init__"]
+
+
+# numpy serves the numeric rank (singular values) and nothing else.
+def _is_numpy_import(node):
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "numpy" for a in node.names)
+    return (isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "numpy")
+
+
+def test_numpy_is_imported_in_one_place():
+    assert _reads_in_src(_is_numpy_import) == {"repn.py:_numeric_nullity"}
 
 
 # J is checked against P(t) in one place per module: regions' J check and

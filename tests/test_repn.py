@@ -23,8 +23,9 @@ from affine_hecke.errors import (
     UndefinedTau,
     UnsupportedType,
 )
-from affine_hecke.rootsys import (_rank_nullspace, build, mat_transpose,
-                                   solve_linear, vec_add, vec_neg, vec_scale)
+from affine_hecke.rootsys import (_rank_nullspace, _solve_in_span, build,
+                                   mat_transpose, solve_linear, vec_add,
+                                   vec_neg, vec_scale)
 from affine_hecke.scalars import ExactScalar, near
 from affine_hecke.weights import Weight, height_character, make_tag, weight
 
@@ -190,7 +191,7 @@ def test_the_column_check_flags_a_perturbed_last_column(fixture):
     assert "T_1" in bad_t.report["quadratic"]["failures"]
     assert bad_t.report["x_commute"]["failures"] == []
 
-    bad_x = perturbed(rep, "x", d - 1, 0, one)
+    bad_x = perturbed(rep, "x", 0, d - 1, one)
     assert (bad_x.report["x_commute"]["failures"]
             or bad_x.report["cross"]["failures"])
     assert bad_x.report["quadratic"]["failures"] == []
@@ -283,35 +284,6 @@ def test_numeric_decomposition_matches_exact():
     assert exact.spaces == numeric.spaces
 
 
-def lower_conjugate(rep, entry):
-    """A numeric module conjugated by the unit lower triangular matrix with
-    entry(i, j) below the diagonal, which leaves its X matrices not upper
-    triangular."""
-    d = rep.dim
-    low = np.array([[1.0 if i == j else entry(i, j) if j < i else 0.0
-                     for j in range(d)] for i in range(d)])
-    low_inv = np.linalg.inv(low)
-    conj = lambda m: tuple(map(tuple, (low @ np.array(m) @ low_inv).tolist()))
-    twisted = repn.ModuleRep.from_matrices(
-        rep.rs, rep.basis, tuple(conj(m) for m in rep.t_mats),
-        tuple(conj(m) for m in rep.x_mats), weight=rep.weight,
-        basis_weights=rep.basis_weights, backend="numeric", q0=rep.q0)
-    assert twisted.report["all_pass"]
-    return twisted
-
-
-def test_non_triangular_matrices_use_the_eigensolver():
-    # conjugating by a lower-triangular matrix destroys the triangular shape,
-    # so the decomposition has to go through the numeric eigenvalue path
-    rs = build("A", 1)
-    t = gamma_with_pairings(rs, ("2",))
-    rep = repn.principal_series(t, backend="numeric")
-    twisted = lower_conjugate(rep, lambda i, j: 1.0)
-    dec = repn.weight_decomposition(twisted)
-    assert set(dec.labels) == set(repn.weight_decomposition(rep).labels)
-    assert all(v == (1, 1) for v in dec.spaces.values())
-
-
 @pytest.mark.parametrize("gamma", [(0, Fraction(1, 2), 3, Fraction(7, 2)),
                                    (0, 1, 2, 3), (0, 0, 1, 1)])
 def test_exact_a3_decomposition_matches_its_numeric_twin(gamma):
@@ -320,99 +292,6 @@ def test_exact_a3_decomposition_matches_its_numeric_twin(gamma):
     numeric = repn.weight_decomposition(
         repn.principal_series(t, backend="numeric"))
     assert exact.spaces == numeric.spaces
-
-
-def exact_lower_conjugate(rep):
-    """An exact module conjugated by the unit lower bidiagonal matrix L with
-    ones below the diagonal (L^-1 has (-1)^(i-j) at i >= j), which leaves its
-    X matrices not upper triangular."""
-    d = rep.dim
-    low = [[int(i - j in (0, 1)) for j in range(d)] for i in range(d)]
-    low_inv = [[(-1) ** (i - j) if i >= j else 0 for j in range(d)]
-               for i in range(d)]
-    product = lambda a, b: [[sum(a[i][k] * b[k][j] for k in range(d))
-                             for j in range(d)] for i in range(d)]
-    conj = lambda m: product(product(low, m), low_inv)
-    return repn.ModuleRep.from_matrices(
-        rep.rs, rep.basis, [conj(m) for m in rep.t_mats],
-        [conj(m) for m in rep.x_mats], weight=rep.weight,
-        basis_weights=rep.basis_weights)
-
-
-@pytest.mark.parametrize("rank,gamma", [
-    (1, (Fraction(3, 2), Fraction(-3, 2))), (2, (0, Fraction(1, 2), 3))])
-def test_exact_module_with_x_not_upper_triangular(monkeypatch, rank, gamma):
-    # the relations invert X by the exact span solve, the weight spaces are
-    # read on a numeric copy and the commutant takes the dense numeric solve
-    routes = {"_solve_in_span": 0, "_specialized_copy": 0,
-              "_numeric_commutant": 0}
-
-    def counted(name):
-        inner = getattr(repn, name)
-
-        def call(*args):
-            routes[name] += 1
-            return inner(*args)
-        return call
-
-    for name in routes:
-        monkeypatch.setattr(repn, name, counted(name))
-    rep = repn.principal_series(weight(build("A", rank), gamma))
-    twisted = exact_lower_conjugate(rep)
-    assert not any(map(repn._is_upper, twisted.x_cols))
-    assert twisted.report["all_pass"]
-    assert routes["_solve_in_span"] == rank
-    dec = repn.weight_decomposition(twisted)
-    assert routes["_specialized_copy"] == 1
-    assert dec.spaces == repn.weight_decomposition(rep).spaces
-    assert repn.commutant_dim(twisted) == 1
-    assert routes["_numeric_commutant"] == 1
-
-
-def test_non_triangular_module_at_a_non_regular_weight():
-    # X is one Jordan block at t; after conjugation by a lower-triangular
-    # matrix the eigenvectors of X carry the grouping, and the generalized
-    # space has its plain dimension counted by the joint kernel
-    t = weight(build("A", 1), (0, 0))
-    twisted = lower_conjugate(repn.principal_series(t, backend="numeric"),
-                              lambda i, j: 0.7)
-    x = twisted.x_mats[0]
-    assert any(not twisted._ops.is_zero(x[i][j])
-               for i in range(len(x)) for j in range(i))
-    dec = repn.weight_decomposition(twisted)
-    assert dec.labels == (t,)
-    assert dec.spaces[t] == (1, 2)
-
-
-@pytest.mark.parametrize("rank,mode,gamma,entry", [
-    (3, "GL", (0, 0, 1, 1), lambda i, j: 0.3),
-    (3, "GL", (0, 0, 1, 1), lambda i, j: 0.3 * (i + 1) / (j + 2)),
-    (2, "P", (0, 0, 0), lambda i, j: 0.3 * (i + 1) / (j + 2)),
-])
-def test_split_jordan_blocks_are_refused(rank, mode, gamma, entry):
-    # the eigensolver splits a defective character by 1e-5 to 1e-4, wider
-    # than the cluster guard, into pieces whose eigenvectors stay parallel;
-    # counted as separate characters they would give 21, 24 and 4 spaces
-    # where there are 6, 6 and 1
-    t = weight(build("A", rank, lattice_mode=mode), gamma)
-    twisted = lower_conjugate(repn.principal_series(t, backend="numeric"),
-                              entry)
-    with pytest.raises(NumericIllConditioned, match="parallel"):
-        repn.weight_decomposition(twisted)
-
-
-@pytest.mark.parametrize("ell", [4, 5])
-@pytest.mark.parametrize("entry", [lambda i, j: 0.3,
-                                   lambda i, j: 0.3 * (i + 1) / (j + 2)])
-def test_non_triangular_decomposition_at_a_root_of_unity(ell, entry):
-    # at ell = 4 the joint characters take values in {1, i, -1, -i}; a
-    # combination of the X with an integer relation among its coefficients
-    # gives distinct characters one eigenvalue and mixes their eigenvectors
-    t = weight(build("A", 3, lattice_mode="GL"), (0, 1, 2, 3), ell=ell)
-    rep = repn.principal_series(t, backend="numeric")
-    dec = repn.weight_decomposition(lower_conjugate(rep, entry))
-    assert all(isinstance(label, Weight) for label in dec.labels)
-    assert dec.spaces == repn.weight_decomposition(rep).spaces
 
 
 def test_generalized_dimension_multiset_is_orbit_invariant():
@@ -601,10 +480,9 @@ def test_tau_intertwines_the_lattice_action():
     s = rs.simple_reflection(1)
     ops = rep._ops
     for g in rs.lattice_generators():
-        tgt = repn._solve_in_span(
-            op.target_basis, mat_mul(rep.x_power(g), op.target_basis, ops),
-            ops)
-        src = repn._solve_in_span(
+        tgt = _solve_in_span(
+            op.target_basis, mat_mul(rep.x_power(g), op.target_basis, ops), ops)
+        src = _solve_in_span(
             op.source_basis,
             mat_mul(rep.x_power(s.act(g)), op.source_basis, ops), ops)
         assert mat_eq(mat_mul(tgt, op.matrix, ops),
@@ -621,7 +499,7 @@ def test_tau_square_is_the_rational_operator():
     square = mat_mul(back.matrix, fwd.matrix, ops)
 
     alpha = rs.simple_roots[1]
-    restrict = lambda mu: repn._solve_in_span(
+    restrict = lambda mu: _solve_in_span(
         fwd.source_basis, mat_mul(rep.x_power(mu), fwd.source_basis, ops),
         ops)
     xp, xm = restrict(alpha), restrict(vec_neg(alpha))
@@ -701,16 +579,20 @@ def test_numeric_tau_is_the_exact_one_at_q0(label, pairings, i):
 ])
 def test_a_singular_x_on_the_p_lattice_is_reported(backend, upper):
     # on the P lattice s_1 sends the generator to its inverse, so the cross
-    # relation needs X^-1; with the bottom row of X zeroed there is none, and
-    # with the top row moved down and zeroed neither, nor is X triangular
+    # relation needs X^-1; with the bottom row of X zeroed there is none; with
+    # the top row moved down and zeroed X is not triangular, and is refused
     rs = build("A", 1)
     rep = repn.principal_series(gamma_with_pairings(rs, ("2",)),
                                 backend=backend)
     x = [list(rep.x_mats[0][0]), [rep._ops.zero()] * 2]
+    build_broken = lambda: repn.ModuleRep.from_matrices(
+        rs, rep.basis, rep.t_mats, [x], weight=rep.weight, backend=backend)
     if not upper:
         x.reverse()
-    broken = repn.ModuleRep.from_matrices(
-        rs, rep.basis, rep.t_mats, [x], weight=rep.weight, backend=backend)
+        with pytest.raises(UnsupportedType, match="upper triangular"):
+            build_broken()
+        return
+    broken = build_broken()
     assert broken.report["cross"]["failures"] == [
         "(T_1, X_1): matrix is singular"]
     assert not broken.report["all_pass"]
@@ -861,8 +743,23 @@ def test_forced_build_that_divides_by_zero_raises_a_named_error(backend):
 # -- commutants and direct sums ----------------------------------------------
 
 def dense_commutant(rep):
-    """The dense numeric Kronecker solve, as an oracle for the block route."""
-    return repn._numeric_commutant(rep)
+    """The commutant by a dense numeric Kronecker solve over all d^2
+    unknowns, as an oracle for the block route; an exact module is solved
+    on its numeric copy at q0."""
+    if rep._ops.exact:
+        rep = repn._specialized_copy(rep)
+    d = rep.dim
+    eye = np.eye(d)
+    gens = rep.t_mats + rep.x_mats
+    dd = d * d
+    # filled in place: stacking per-generator blocks held each twice
+    stacked = np.empty((len(gens) * dd, dd), dtype=complex)
+    for k, g in enumerate(gens):
+        m = np.array(g, dtype=complex)
+        block = stacked[k * dd:(k + 1) * dd]
+        block[...] = np.kron(eye, m)
+        block -= np.kron(m.T, eye)
+    return repn._numeric_nullity(stacked)
 
 
 def dense_exact_commutant(rep):
@@ -1078,14 +975,54 @@ def test_tau_basis_is_the_weight_basis_of_each_line(rank, mode, gamma, ell,
                    for r, x in enumerate(vector))
 
 
+def lower_conjugate(rep):
+    """The matrices of rep conjugated by the unit lower bidiagonal matrix L
+    with ones below the diagonal (L^-1 has (-1)^(i-j) at i >= j), built as a
+    module on the same scalars: the relations still hold, but the X are no
+    longer upper triangular."""
+    d = rep.dim
+    low = [[int(i - j in (0, 1)) for j in range(d)] for i in range(d)]
+    low_inv = [[(-1) ** (i - j) if i >= j else 0 for j in range(d)]
+               for i in range(d)]
+    product = lambda a, b: [[sum(a[i][k] * b[k][j] for k in range(d))
+                             for j in range(d)] for i in range(d)]
+    conj = lambda m: product(product(low, m), low_inv)
+    return repn.ModuleRep.from_matrices(
+        rep.rs, rep.basis, [conj(m) for m in rep.t_mats],
+        [conj(m) for m in rep.x_mats], weight=rep.weight,
+        basis_weights=rep.basis_weights, backend=rep.backend, q0=rep.q0)
+
+
+def test_x_that_is_not_upper_triangular_is_refused():
+    # both constructions present X upper triangular, and every module routine
+    # reads weight spaces off that shape, so another basis is refused at once
+    t = weight(build("A", 2), (0, H, 3))
+    for backend in ("exact", "numeric"):
+        with pytest.raises(UnsupportedType, match="upper triangular"):
+            lower_conjugate(repn.principal_series(t, backend=backend))
+    # entries the numeric scalars count as zero are dropped first
+    rep = repn.principal_series(t, backend="numeric")
+
+    def below_diagonal(delta):
+        x = [[y + delta if r > c else y for c, y in enumerate(row)]
+             for r, row in enumerate(rep.x_mats[0])]
+        return repn.ModuleRep.from_matrices(
+            rep.rs, rep.basis, rep.t_mats, [x, *rep.x_mats[1:]], weight=t,
+            basis_weights=rep.basis_weights, backend="numeric")
+
+    near_twin = below_diagonal(0.5 * repn.NUMERIC_TOL)
+    assert near_twin.x_cols == rep.x_cols
+    assert near_twin.report["all_pass"]
+    with pytest.raises(UnsupportedType, match="upper triangular"):
+        below_diagonal(2 * repn.NUMERIC_TOL)
+
+
 def test_weight_spaces_need_upper_triangular_x():
+    # the weight space and tau routines never see such a module: it is
+    # refused when it is built
     t = gamma_with_pairings(build("A", 1), ("2",))
-    twisted = lower_conjugate(repn.principal_series(t, backend="numeric"),
-                              lambda i, j: 1.0)
     with pytest.raises(UnsupportedType, match="upper triangular"):
-        repn.generalized_weight_basis(twisted, t)
-    with pytest.raises(UnsupportedType, match="upper triangular"):
-        repn.tau_operator(0, t, twisted)
+        lower_conjugate(repn.principal_series(t, backend="numeric"))
 
 
 def test_x_matrices_that_do_not_commute_are_refused():
@@ -1146,14 +1083,12 @@ def test_triangular_exact_module_is_solved_in_its_weight_basis():
 
 
 def test_exact_commutant_needs_upper_triangular_x():
-    # X lower triangular: the dense oracle still solves it, the block route
-    # has no weight basis to work in
+    # X lower triangular: the block route would have no weight basis to work
+    # in, and the module is refused before any commutant is asked for
     rs = build("A", 1)
     x = ((Q, ExactScalar.zero()), (ExactScalar.one(), 1 / Q))
-    rep = repn.ModuleRep.from_matrices(rs, range(2), [x], [x], verify=False)
-    assert dense_exact_commutant(rep) == 2
     with pytest.raises(UnsupportedType, match="upper triangular"):
-        repn.commutant_dim(rep, method="exact")
+        repn.ModuleRep.from_matrices(rs, range(2), [x], [x], verify=False)
 
 
 @pytest.mark.parametrize("spread", [0.0, 1e-12, 1e-9])

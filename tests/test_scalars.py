@@ -10,8 +10,6 @@ from affine_hecke.scalars import (
     ExactScalar,
     _pdivmod,
     _pgcd,
-    common_scale,
-    field_ops,
     near,
 )
 
@@ -76,14 +74,9 @@ def test_equal_values_hash_alike_across_scales():
     assert hash(third) == hash(Fraction(1, 3))
 
 
-def test_common_scale():
-    assert common_scale(Fraction(1, 2), Fraction(1, 3)) == 6
-    assert common_scale(1, 2, 3) == 1
-
-
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
-        field_ops(Q(1), ExactScalar.zero(), "div")
+        Q(1) / ExactScalar.zero()
     with pytest.raises(DivisionByZero):
         ExactScalar.zero().inverse()
 
