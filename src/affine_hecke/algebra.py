@@ -12,18 +12,17 @@ finite geometric string
 for m = <lambda, a_i^vee>.  The string is the expansion of
 (X^lambda - X^{s_i lambda}) / (1 - X^{-a_i}), which is always a polynomial.
 
-The center is the ring of W-symmetric Laurent polynomials; over it the group
-algebra is free with the basis X^{lambda_w} indexed by W, and the change of
-basis is controlled by a determinant of monomials that factors as
-prod_{a > 0} (1 - X^a)^{|W|/2} up to a monomial unit.
+The center is the ring of W-symmetric Laurent polynomials in the X^lambda.
+It is spanned by the orbit sums (orbit_sum), and is_central checks that an
+element commutes with every generator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import GroupTooLarge, WrongLattice
-from .rootsys import RootSystem, WeylElt, vec, vec_add, vec_dot, vec_neg, vec_sub
+from .errors import WrongLattice
+from .rootsys import RootSystem, WeylElt, vec, vec_add, vec_dot, vec_sub
 from .scalars import ExactScalar
 
 
@@ -35,7 +34,9 @@ Q_MINUS = ExactScalar.q_power(1) - ExactScalar.q_power(-1)  # q - q^-1
 # ---------------------------------------------------------------------------
 
 class GroupAlgebraElt:
-    """Finitely supported rational combination of lattice monomials X^lambda."""
+    """A record of terms: a finitely supported rational combination of lattice
+    monomials X^lambda, read through describe() and lifted into the algebra by
+    AlgebraElt.from_group_algebra. It carries no arithmetic of its own."""
 
     __slots__ = ("rs", "terms")
 
@@ -48,97 +49,13 @@ class GroupAlgebraElt:
                 clean[vec(lam)] = c
         self.terms = clean
 
-    @classmethod
-    def monomial(cls, rs: RootSystem, lam, coeff=1) -> "GroupAlgebraElt":
-        return cls(rs, {vec(lam): Fraction(coeff)})
-
-    @classmethod
-    def zero(cls, rs: RootSystem) -> "GroupAlgebraElt":
-        return cls(rs, {})
-
-    @classmethod
-    def one(cls, rs: RootSystem) -> "GroupAlgebraElt":
-        return cls.monomial(rs, (0,) * rs.dim)
-
-    def __add__(self, other: "GroupAlgebraElt") -> "GroupAlgebraElt":
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            out[lam] = out.get(lam, Fraction(0)) + c
-        return GroupAlgebraElt(self.rs, out)
-
-    def __sub__(self, other: "GroupAlgebraElt") -> "GroupAlgebraElt":
-        return self + (-other)
-
-    def __neg__(self) -> "GroupAlgebraElt":
-        return GroupAlgebraElt(
-            self.rs, {lam: -c for lam, c in self.terms.items()})
-
-    def __mul__(self, other: "GroupAlgebraElt") -> "GroupAlgebraElt":
-        out: dict[tuple, Fraction] = {}
-        for lam, c in self.terms.items():
-            for mu, d in other.terms.items():
-                key = vec_add(lam, mu)
-                out[key] = out.get(key, Fraction(0)) + c * d
-        return GroupAlgebraElt(self.rs, out)
-
-    def scale(self, c) -> "GroupAlgebraElt":
-        c = Fraction(c)
-        return GroupAlgebraElt(
-            self.rs, {lam: c * d for lam, d in self.terms.items()})
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, GroupAlgebraElt)
                 and self.rs.key == other.rs.key
                 and self.terms == other.terms)
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def __len__(self) -> int:
         return len(self.terms)
-
-    def weyl_image(self, w: WeylElt) -> "GroupAlgebraElt":
-        return GroupAlgebraElt(
-            self.rs, {w.act(lam): c for lam, c in self.terms.items()})
-
-    def is_invariant(self) -> bool:
-        return all(
-            self.weyl_image(self.rs.simple_reflection(i)) == self
-            for i in range(self.rs.rank))
-
-    def lead(self) -> tuple:
-        lam = max(self.terms)
-        return lam, self.terms[lam]
-
-    def is_monomial_unit(self) -> bool:
-        return len(self.terms) == 1 and abs(next(iter(self.terms.values()))) == 1
-
-    def exact_div(self, other: "GroupAlgebraElt") -> "GroupAlgebraElt":
-        """Quotient self / other, which must be exact in the Laurent ring."""
-        if not other:
-            raise ZeroDivisionError("division by the zero element")
-        if not self:
-            return GroupAlgebraElt.zero(self.rs)
-        b_lam, b_c = other.lead()
-        rem = dict(self.terms)
-        quo: dict[tuple, Fraction] = {}
-        # lex-leading terms strictly decrease; an inexact division would
-        # descend forever, so cap the number of quotient terms
-        for _ in range(len(self.terms) * max(len(other.terms), 2) + 1000):
-            if not rem:
-                return GroupAlgebraElt(self.rs, quo)
-            r_lam = max(rem)
-            t_lam = vec_sub(r_lam, b_lam)
-            t_c = rem[r_lam] / b_c
-            quo[t_lam] = t_c
-            for lam, c in other.terms.items():
-                key = vec_add(t_lam, lam)
-                val = rem.get(key, Fraction(0)) - t_c * c
-                if val:
-                    rem[key] = val
-                else:
-                    rem.pop(key, None)
-        raise ValueError("quotient is not exact in the group algebra")
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -348,106 +265,3 @@ def is_central(z: AlgebraElt) -> bool:
             return False
     return True
 
-
-# ---------------------------------------------------------------------------
-# the Pittie-Steinberg basis of C[X] over the center
-# ---------------------------------------------------------------------------
-
-def steinberg_basis(rs: RootSystem) -> dict:
-    """lambda_w = w^{-1}(sum of omega_i over left descents of w), per w."""
-    if rs.lattice_mode != "P":
-        raise WrongLattice("the basis is defined over the full weight lattice")
-    out = {}
-    for w in rs.weyl_elements():
-        total = (Fraction(0),) * rs.dim
-        for i in range(rs.rank):
-            # left descent: l(s_i w) < l(w), i.e. w^{-1}(alpha_i) < 0
-            if not rs.is_positive_root(w.act_inverse(rs.simple_roots[i])):
-                total = vec_add(total, rs.fundamental_weights[i])
-        out[w] = w.act_inverse(total)
-    return out
-
-
-def group_determinant(rs: RootSystem, rows) -> GroupAlgebraElt:
-    """Determinant by row-by-row expansion with memoized column subsets."""
-    n = len(rows)
-    level = {0: GroupAlgebraElt.one(rs)}
-    for k in range(n):
-        nxt: dict[int, GroupAlgebraElt] = {}
-        for mask, minor in level.items():
-            if not minor:
-                continue
-            for j in range(n):
-                if mask >> j & 1:
-                    continue
-                entry = rows[k][j]
-                if not entry:
-                    continue
-                # parity of the earlier-placed columns above j
-                sign = -1 if bin(mask >> (j + 1)).count("1") % 2 else 1
-                term = minor * entry
-                if sign < 0:
-                    term = -term
-                key = mask | 1 << j
-                nxt[key] = nxt[key] + term if key in nxt else term
-        level = nxt
-    full = (1 << n) - 1
-    return level.get(full, GroupAlgebraElt.zero(rs))
-
-
-def _steinberg_matrix(rs: RootSystem):
-    elements = rs.weyl_elements()
-    if len(elements) > 12:
-        raise GroupTooLarge(
-            f"determinant over {len(elements)} x {len(elements)} monomials")
-    basis = steinberg_basis(rs)
-    rows = [
-        [GroupAlgebraElt.monomial(rs, z.act(basis[y])) for y in elements]
-        for z in elements]
-    return elements, basis, rows
-
-
-def steinberg_determinant(rs: RootSystem):
-    """det(z X^{lambda_y}) and whether it is a unit multiple of the root product."""
-    _, _, rows = _steinberg_matrix(rs)
-    det = group_determinant(rs, rows)
-    target = GroupAlgebraElt.one(rs)
-    factor_power = len(rows) // 2
-    for alpha in rs.positive_roots:
-        base = (GroupAlgebraElt.one(rs)
-                - GroupAlgebraElt.monomial(rs, alpha))
-        for _ in range(factor_power):
-            target = target * base
-    verified = False
-    if det and len(det) == len(target):
-        d_lam, d_c = det.lead()
-        t_lam, t_c = target.lead()
-        unit = GroupAlgebraElt.monomial(rs, vec_sub(d_lam, t_lam), d_c / t_c)
-        verified = unit.is_monomial_unit() and unit * target == det
-    return det, verified
-
-
-def decompose_over_center(f: GroupAlgebraElt) -> dict:
-    """Invariant coefficients a_w with sum a_w X^{lambda_w} = f, via Cramer."""
-    rs = f.rs
-    elements, basis, rows = _steinberg_matrix(rs)
-    denom = group_determinant(rs, rows)
-    images = [f.weyl_image(z) for z in elements]
-    out = {}
-    for col, y in enumerate(elements):
-        replaced = [
-            [images[r] if j == col else rows[r][j] for j in range(len(rows))]
-        for r in range(len(rows))]
-        out[y] = group_determinant(rs, replaced).exact_div(denom)
-    return out
-
-
-def reassemble(coeffs: dict) -> GroupAlgebraElt:
-    """Sum a_w X^{lambda_w} from a decomposition, for round-trip checks."""
-    some = next(iter(coeffs.values()))
-    rs = some.rs
-    basis = steinberg_basis(rs)
-    out = GroupAlgebraElt.zero(rs)
-    for w, a in coeffs.items():
-        out = out + a * GroupAlgebraElt.monomial(rs, basis[w])
-    return out

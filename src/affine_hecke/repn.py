@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 from .algebra import Q_MINUS, AlgebraElt, bernstein_string
 from .errors import (DivisionByZero, EmptyRegion, MixedCosetExact, NotRegular,
-                     NotSkew, NumericIllConditioned, UndefinedTau,
+                     NotSkew, NumericIllConditioned, TooLarge, UndefinedTau,
                      UnsupportedType)
 from .regions import LocalRegion, chamber_set_pruned, is_skew
 from .rootsys import (RootSystem, WeylElt, _rank_nullspace, vec, vec_dot,
@@ -52,6 +52,9 @@ from .weights import TRIVIAL_TAG, Weight
 
 NUMERIC_TOL = 1e-9   # entrywise tolerance for relation checks
 RANK_TOL = 1e-7      # singular value and clustering threshold
+# the block commutant solves dense rows over m^2 unknowns per generalized
+# weight space of width m > 1; past one width-24 space, refuse
+BLOCK_UNKNOWNS_LIMIT = 24 * 24
 
 # 2^(1/3): real and > 1, so distinct rational exponents give distinct powers
 DEFAULT_Q0 = 1.2599210498948732
@@ -951,7 +954,9 @@ def commutant_dim(rep: ModuleRep, method: str = "auto") -> int:
 
     A commuting matrix keeps each generalized weight space of the upper
     triangular X, so it is solved block by block in a basis of generalized
-    weight vectors, at any dimension (_block_commutant). method="auto" solves
+    weight vectors, at any dimension (_block_commutant). It raises TooLarge
+    when the spaces wider than a line hold more than BLOCK_UNKNOWNS_LIMIT
+    unknowns, m^2 for each of width m. method="auto" solves
     over the module's scalars, but solves an exact module whose X is not
     diagonal at q0, on a numeric copy, where exact elimination is far
     slower. method="exact" solves in exact scalars, for exact modules only.
@@ -975,10 +980,16 @@ def _block_commutant(rep: ModuleRep) -> int:
     one block C_a per generalized weight space a. Each generator block G_ab
     asks G_ab C_b = C_a G_ab. Between two weight lines that merges them
     where G_ab is nonzero; blocks touching a wider space give the rows of a
-    linear system over the merged lines and the wider blocks."""
+    linear system over the merged lines and the wider blocks. Raises TooLarge
+    when the wider blocks hold more than BLOCK_UNKNOWNS_LIMIT unknowns."""
     ops = rep._ops
     d = rep.dim
     groups, _ = _weight_groups(rep)
+    wide = sum(len(group) ** 2 for group in groups if len(group) > 1)
+    if wide > BLOCK_UNKNOWNS_LIMIT:
+        raise TooLarge(f"the commutant has {wide} unknowns in generalized "
+                       f"weight spaces wider than a line, past "
+                       f"{BLOCK_UNKNOWNS_LIMIT}")
     basis, owner, pos = {}, [0] * d, [0] * d
     for a, group in enumerate(groups):
         basis.update(_weight_basis(rep.x_cols, group, ops))

@@ -1,22 +1,11 @@
-"""Normal-form arithmetic, the center, and the Steinberg basis."""
+"""Normal-form arithmetic and the center."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from affine_hecke.algebra import (
-    AlgebraElt,
-    GroupAlgebraElt,
-    decompose_over_center,
-    group_determinant,
-    is_central,
-    orbit_sum,
-    reassemble,
-    steinberg_basis,
-    steinberg_determinant,
-)
-from affine_hecke.errors import WrongLattice
+from affine_hecke.algebra import AlgebraElt, is_central, orbit_sum
 from affine_hecke.rootsys import build
 from affine_hecke.scalars import ExactScalar
 
@@ -126,92 +115,6 @@ def test_non_invariant_monomial_is_not_central():
     rs = build("A", 2, lattice_mode="GL")
     assert not is_central(AlgebraElt.x_monomial(rs, (1, 0, 0)))
     assert is_central(AlgebraElt.one(rs).scale(ExactScalar.q_power(3)))
-
-
-def test_invariance_detector():
-    rs = build("C", 2)
-    assert orbit_sum(rs, (1, 1)).is_invariant()
-    assert not GroupAlgebraElt.monomial(rs, (1, 1)).is_invariant()
-
-
-# -- Steinberg basis ---------------------------------------------------------------
-
-def test_steinberg_basis_rank_one():
-    rs = build("A", 1)
-    basis = steinberg_basis(rs)
-    e = rs.identity()
-    s = rs.simple_reflection(0)
-    omega = rs.fundamental_weights[0]
-    assert basis[e] == tuple(Fraction(0) for _ in range(rs.dim))
-    assert basis[s] == s.act(omega)
-
-
-def test_steinberg_basis_needs_weight_lattice():
-    rs = build("A", 2, lattice_mode="GL")
-    with pytest.raises(WrongLattice):
-        steinberg_basis(rs)
-
-
-@pytest.mark.parametrize("label,rank", [("A", 1), ("A", 2), ("C", 2)])
-def test_steinberg_determinant_factors(label, rank):
-    rs = build(label, rank)
-    det, verified = steinberg_determinant(rs)
-    assert verified
-    assert len(det) > 1
-
-
-def test_steinberg_determinant_rank_one_value():
-    rs = build("A", 1)
-    det, verified = steinberg_determinant(rs)
-    assert verified
-    omega = rs.fundamental_weights[0]
-    alpha = rs.simple_roots[0]
-    lo = rs.simple_reflection(0).act(omega)  # omega - alpha
-    expected = (GroupAlgebraElt.monomial(rs, omega)
-                - GroupAlgebraElt.monomial(rs, lo))
-    assert det == expected or det == -expected
-
-
-def test_degenerate_matrix_fails_verification():
-    # duplicated column: the determinant collapses to zero
-    rs = build("A", 1)
-    one = GroupAlgebraElt.one(rs)
-    col = GroupAlgebraElt.monomial(rs, rs.fundamental_weights[0])
-    assert not group_determinant(rs, [[one, one], [col, col]])
-
-
-def test_decompose_trivial_cases():
-    rs = build("A", 1)
-    coeffs = decompose_over_center(GroupAlgebraElt.one(rs))
-    e = rs.identity()
-    assert coeffs[e] == GroupAlgebraElt.one(rs)
-    assert all(not a for w, a in coeffs.items() if w != e)
-
-    basis = steinberg_basis(rs)
-    s = rs.simple_reflection(0)
-    coeffs = decompose_over_center(GroupAlgebraElt.monomial(rs, basis[s]))
-    assert coeffs[s] == GroupAlgebraElt.one(rs)
-    assert not coeffs[e]
-
-
-@pytest.mark.parametrize("label,rank", [("A", 1), ("A", 2), ("C", 2)])
-def test_decompose_orbit_sum_round_trip(label, rank):
-    rs = build(label, rank)
-    f = orbit_sum(rs, rs.fundamental_weights[0])
-    coeffs = decompose_over_center(f)
-    assert all(a.is_invariant() for a in coeffs.values())
-    assert reassemble(coeffs) == f
-
-
-def test_decompose_random_round_trip():
-    rs = build("C", 2)
-    rng = random.Random(3)
-    lams = [rs.fundamental_weights[0], rs.fundamental_weights[1], (1, 1), (0, 2)]
-    f = GroupAlgebraElt.zero(rs)
-    for lam in lams:
-        f = f + GroupAlgebraElt.monomial(rs, lam, rng.randint(-4, 4))
-    coeffs = decompose_over_center(f)
-    assert reassemble(coeffs) == f
 
 
 def test_describe_round_trip_shapes():

@@ -1,10 +1,13 @@
-"""Every private helper of the library is used somewhere in the library, and
-every parameter of a function is read by its body."""
+"""Every private helper of the library is used somewhere in the library,
+every parameter of a function is read by its body, and every imported name is
+read by its module."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "affine_hecke"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "affine_hecke"
+BENCH = ROOT / "bench"
 
 
 def _private_defs(tree):
@@ -48,6 +51,39 @@ def test_no_private_helper_is_unreferenced():
     dead = sorted(f"{module}:{name}" for module, tree in trees.items()
                   for name in _private_defs(tree) if name not in used)
     assert not dead, f"private helpers with no reference in src: {dead}"
+
+
+def _unread_imports(tree):
+    """Names an import binds that the module never loads; a dotted import
+    binds its first part."""
+    bound = {(alias.asname or alias.name).split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names}
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return bound - loaded
+
+
+def test_no_imported_name_is_unread():
+    unread = sorted(f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
+                    for name in _unread_imports(ast.parse(path.read_text())))
+    assert not unread, f"imported names that their module never reads: {unread}"
+
+
+def test_every_public_function_of_algebra_has_a_reader():
+    # the bench drives orbit_sum and is_central; nothing else reads them
+    trees = [ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py"))]
+    used = set().union(*map(_references, trees))
+    algebra = ast.parse((SRC / "algebra.py").read_text())
+    public = [node.name for node in algebra.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not node.name.startswith("_")]
+    assert "orbit_sum" in public
+    unread = sorted(name for name in public if name not in used)
+    assert not unread, f"public functions of algebra.py with no reader: {unread}"
 
 
 def _unread_parameters(tree):

@@ -20,6 +20,7 @@ from affine_hecke.errors import (
     NotRegular,
     NotSkew,
     NumericIllConditioned,
+    TooLarge,
     UndefinedTau,
     UnsupportedType,
 )
@@ -1224,6 +1225,26 @@ def test_structural_commutant_has_no_size_limit():
     twin = repn.ModuleRep.from_matrices(rs, range(d), [tm], [x],
                                         verify=False)
     assert repn.commutant_dim(twin, method="exact") == 101
+
+
+def test_block_commutant_refuses_wide_weight_spaces_past_its_limit(
+        monkeypatch):
+    # the A3 GL series at 0 is one 24-wide generalized weight space, 576
+    # unknowns: at the limit, solved
+    at_limit = repn.principal_series(
+        weight(build("A", 3, lattice_mode="GL"), (0,) * 4), backend="numeric")
+    assert repn.commutant_dim(at_limit) == 1
+    # the A4 P series at 0 is one 120-wide space, 14,400 unknowns: refused
+    # before any weight basis or row is built
+    big = repn.principal_series(weight(build("A", 4), (0,) * 5),
+                                backend="numeric")
+
+    def no_basis(*args):
+        raise AssertionError("a weight basis was built past the limit")
+
+    monkeypatch.setattr(repn, "_weight_basis", no_basis)
+    with pytest.raises(TooLarge, match="14400 unknowns"):
+        repn.commutant_dim(big)
 
 
 def test_exact_commutant_refuses_a_numeric_module():
