@@ -25,9 +25,9 @@ values for the tags.
 
 Verification is built in rather than trusted: every constructed module stores
 a relation report, checked column by column, weight space data is recomputed
-from the matrices, and irreducibility is measured as commutant dimension 1,
-solved block by block in a basis of generalized weight vectors (a commuting
-matrix keeps each generalized weight space).
+from the matrices, and irreducibility is measured as commutant dimension 1:
+the t-weight space of a principal series (Frobenius reciprocity), else solved
+block by block in a basis of generalized weight vectors.
 """
 
 from __future__ import annotations
@@ -253,10 +253,6 @@ def _is_upper(cols) -> bool:
     return all(r <= c for c, col in enumerate(cols) for r in col)
 
 
-def _is_diagonal(cols) -> bool:
-    return all(r == c for c, col in enumerate(cols) for r in col)
-
-
 def _inverse(cols, ops) -> tuple:
     """The sparse columns of the inverse of an upper triangular matrix given
     by sparse columns, by _coordinates; DivisionByZero if it is singular."""
@@ -321,8 +317,11 @@ class ModuleRep:
 
         Every X must be upper triangular once the entries the scalars count
         as zero are dropped (UnsupportedType otherwise), and basis_weights,
-        when given, must match the X diagonals."""
+        when given, must match the X diagonals. kind "principal_series" is
+        refused: commutant_dim reads it as a module induced from t."""
         _check_backend(backend, ("exact", "numeric"))
+        if kind == "principal_series":
+            raise ValueError("only principal_series() builds that kind")
         if backend == "numeric":
             scalars = _NumericScalars(weight, q0)
         elif q0 is None:
@@ -474,19 +473,31 @@ def _principal_terms(rs: RootSystem):
     index = {w: k for k, w in enumerate(basis)}
     coeffs, exponents = {}, {}
     t_terms, x_terms = [], []
+    # the T_i T_w, then the X^g T_w, for w of this length and the one before:
+    # each is that of w s_j times T_j, j the last letter of w's reduced word
+    # (a prefix of a lexicographically least reduced word is again one)
+    shorter, current, length = {}, {}, 0
     for w in basis:
-        tw = AlgebraElt.t_word(rs, w.reduced_word())
+        word = w.reduced_word()
+        if len(word) > length:
+            shorter, current, length = current, {}, len(word)
+        if word:
+            prods = [p._times_ti(word[-1])
+                     for p in shorter[w * rs.simple_reflection(word[-1])]]
+        else:
+            prods = ([AlgebraElt.t_generator(rs, i) for i in range(rs.rank)]
+                     + [AlgebraElt.x_monomial(rs, g)
+                        for g in rs.lattice_generators()])
+        current[w] = prods
         t_terms.append(tuple(
             tuple((index[u], coeffs.setdefault(c, len(coeffs)))
-                  for (u, _), c in (AlgebraElt.t_generator(rs, i) * tw)
-                  .terms.items())
-            for i in range(rs.rank)))
+                  for (u, _), c in p.terms.items())
+            for p in prods[:rs.rank]))
         x_terms.append(tuple(
             tuple((index[u], exponents.setdefault(lam, len(exponents)),
                    coeffs.setdefault(c, len(coeffs)))
-                  for (u, lam), c in (AlgebraElt.x_monomial(rs, g) * tw)
-                  .terms.items())
-            for g in rs.lattice_generators()))
+                  for (u, lam), c in p.terms.items())
+            for p in prods[rs.rank:]))
     cached = (t_terms, x_terms, tuple(coeffs), tuple(exponents))
     _PRINCIPAL_CACHE[rs.key] = cached
     return cached
@@ -692,18 +703,25 @@ def weight_decomposition(rep: ModuleRep) -> WeightSpaceDecomp:
             # generalized weight space, so a line is a weight line
             plain = 1
         else:
-            space = _weight_basis(rep.x_cols, group, ops)
-            rows = [row for m, c in zip(rep.x_cols, key)
-                    for row in _coordinate_matrix(
-                        [_add_scaled(_apply(m, v, ops), -c, v)
-                         for v in space.values()], space, ops)]
-            plain = _nullity(rows, len(group), ops)
+            plain = _plain_dimension(
+                rep, _weight_basis(rep.x_cols, group, ops), key)
         labels.append(label)
         spaces[label] = (plain, len(group))
     total = sum(v[1] for v in spaces.values())
     if total != d:
         raise NumericIllConditioned("generalized dimensions do not sum up")
     return WeightSpaceDecomp(dim=d, labels=tuple(labels), spaces=spaces)
+
+
+def _plain_dimension(rep: ModuleRep, space: dict, chi) -> int:
+    """Dimension of the joint kernel of the X_g - chi_g on the generalized
+    weight space with _weight_basis space, ranked by _nullity."""
+    ops = rep._ops
+    rows = [row for m, c in zip(rep.x_cols, chi)
+            for row in _coordinate_matrix(
+                [_add_scaled(_apply(m, v, ops), -c, v) for v in space.values()],
+                space, ops)]
+    return _nullity(rows, len(space), ops)
 
 
 def _weight_groups(rep: ModuleRep):
@@ -774,6 +792,9 @@ def _nullity(rows, n: int, ops) -> int:
     if not rows:
         return n
     if ops.exact:
+        # sparsest rows first: the same rank, with far less fill-in
+        rows = sorted(rows, key=lambda row: sum(not ops.is_zero(x)
+                                                for x in row))
         return n - _rank_nullspace(rows, ops)[0]
     return _numeric_nullity(rows)
 
@@ -793,20 +814,6 @@ def _numeric_nullity(rows) -> int:
     if any(thresh / 10 < s < thresh * 10 for s in sv):
         raise NumericIllConditioned("singular values hug the rank threshold")
     return int(a.shape[1] - sum(s > thresh for s in sv))
-
-
-def _specialized_copy(rep: ModuleRep) -> ModuleRep:
-    """Numeric shadow of an exact module (same basis, entries at q0)."""
-    ops = _NumericScalars(rep.weight)
-
-    def spec(m):
-        return [{r: ops.lift(x) for r, x in col.items()} for col in m]
-
-    return ModuleRep(rep.rs, rep.kind, rep.basis,
-                     [spec(m) for m in rep.t_cols],
-                     [spec(m) for m in rep.x_cols], ops,
-                     weight=rep.weight, basis_weights=rep.basis_weights,
-                     region=rep.region)
 
 
 # ---------------------------------------------------------------------------
@@ -949,28 +956,19 @@ def kato_irreducible(t: Weight) -> bool:
     return not t.zp_sets()[1]
 
 
-def commutant_dim(rep: ModuleRep, method: str = "auto") -> int:
-    """Dimension of the algebra of matrices commuting with all generators.
+def commutant_dim(rep: ModuleRep) -> int:
+    """Dimension of the algebra of matrices commuting with all generators,
+    solved in the module's own scalars: exact for an exact module.
 
-    A commuting matrix keeps each generalized weight space of the upper
-    triangular X, so it is solved block by block in a basis of generalized
-    weight vectors, at any dimension (_block_commutant). It raises TooLarge
-    when the spaces wider than a line hold more than BLOCK_UNKNOWNS_LIMIT
-    unknowns, m^2 for each of width m. method="auto" solves
-    over the module's scalars, but solves an exact module whose X is not
-    diagonal at q0, on a numeric copy, where exact elimination is far
-    slower. method="exact" solves in exact scalars, for exact modules only.
+    A principal series M(t) = H (x)_C[X] C_t has End_H(M(t)) =
+    Hom_C[X](C_t, M(t)) by Frobenius reciprocity: the plain t-weight space.
+    Every other module goes through _block_commutant, which raises TooLarge
+    past BLOCK_UNKNOWNS_LIMIT unknowns, m^2 per space of width m > 1.
     """
-    if method not in ("auto", "exact"):
-        raise ValueError(
-            f"unknown commutant method {method!r}; use 'auto' or 'exact'")
-    ops = rep._ops
-    if method == "exact" and not ops.exact:
-        raise ValueError(f"method 'exact' needs an exact module, not a "
-                         f"{rep.backend!r} one")
-    if (method == "auto" and ops.exact
-            and not all(map(_is_diagonal, rep.x_cols))):
-        rep = _specialized_copy(rep)
+    if rep.kind == "principal_series":
+        # the identity comes first in the basis, at the weight t
+        return _plain_dimension(rep, _weight_space(rep, rep.weight),
+                                _weight_groups(rep)[1][0])
     return _block_commutant(rep)
 
 

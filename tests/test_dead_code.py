@@ -3,7 +3,10 @@ every parameter of a function is read by its body, and every imported name is
 read by its module."""
 
 import ast
+import inspect
 from pathlib import Path
+
+from affine_hecke import repn
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "affine_hecke"
@@ -257,3 +260,22 @@ def _is_filling_coercion(node):
 def test_fillings_are_coerced_in_one_place():
     assert _reads_in_src(_is_filling_coercion) == {
         "tableaux.py:filling_from_entries"}
+
+
+# The commutant has one route per kind of module and no knob: Frobenius
+# reciprocity for principal series, the block solve for the rest, both in the
+# module's own scalars, so no exact module is copied to floats.
+def test_commutant_dim_takes_the_module_alone():
+    assert list(inspect.signature(repn.commutant_dim).parameters) == ["rep"]
+
+
+def test_no_float_copy_of_an_exact_module_is_defined():
+    defined = {node.id if isinstance(node, ast.Name) else node.name
+               for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))
+               or isinstance(node, ast.Name)
+               and isinstance(node.ctx, ast.Store)}
+    assert "commutant_dim" in defined
+    assert "_specialized_copy" not in defined

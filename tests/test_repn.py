@@ -401,9 +401,8 @@ def test_opposite_unit_pairings_split_the_module():
     numeric = repn.principal_series(t, backend="numeric")
     assert repn.commutant_dim(numeric) == 2
     exact = repn.principal_series(t)
-    assert repn.commutant_dim(exact, method="exact") == 2
+    assert repn.commutant_dim(exact) == repn._block_commutant(exact) == 2
     assert dense_exact_commutant(exact) == 2
-    assert repn.commutant_dim(exact) == 2
 
 
 def test_uniserial_module_hides_from_the_commutant():
@@ -743,12 +742,27 @@ def test_forced_build_that_divides_by_zero_raises_a_named_error(backend):
 
 # -- commutants and direct sums ----------------------------------------------
 
+def numeric_copy(rep):
+    """The numeric shadow of an exact module: the same basis, entries at
+    q0."""
+    ops = repn._NumericScalars(rep.weight)
+
+    def spec(m):
+        return [{r: ops.lift(x) for r, x in col.items()} for col in m]
+
+    return repn.ModuleRep(rep.rs, rep.kind, rep.basis,
+                          [spec(m) for m in rep.t_cols],
+                          [spec(m) for m in rep.x_cols], ops,
+                          weight=rep.weight, basis_weights=rep.basis_weights,
+                          region=rep.region)
+
+
 def dense_commutant(rep):
     """The commutant by a dense numeric Kronecker solve over all d^2
-    unknowns, as an oracle for the block route; an exact module is solved
-    on its numeric copy at q0."""
+    unknowns, as an oracle for both commutant routes; an exact module is
+    solved on its numeric copy at q0."""
     if rep._ops.exact:
-        rep = repn._specialized_copy(rep)
+        rep = numeric_copy(rep)
     d = rep.dim
     eye = np.eye(d)
     gens = rep.t_mats + rep.x_mats
@@ -765,9 +779,9 @@ def dense_commutant(rep):
 
 def dense_exact_commutant(rep):
     """The commutant of an exact module by exact elimination of G C - C G
-    over all d^2 unknowns, as an oracle for method="exact". Rows are reduced
-    one at a time against the pivot rows found so far; the identity always
-    commutes, so the answer is 1 once the rank reaches d^2 - 1."""
+    over all d^2 unknowns, as an oracle for the exact routes. Rows are
+    reduced one at a time against the pivot rows found so far; the identity
+    always commutes, so the answer is 1 once the rank reaches d^2 - 1."""
     ops = rep._ops
     d = rep.dim
     zero = ops.zero()
@@ -814,15 +828,13 @@ def test_direct_sum_doubles_into_a_matrix_commutant():
     exact = repn.calibrated_module(region)
     exact_doubled = repn.direct_sum(exact, exact)
     assert repn.commutant_dim(exact_doubled) == 4
-    assert repn.commutant_dim(exact_doubled, method="exact") == 4
     assert dense_exact_commutant(exact_doubled) == 4
 
     rs1 = build("A", 1)
     line = repn.principal_series(gamma_with_pairings(rs1, ("2",)))
     doubled_line = repn.direct_sum(line, line)
-    assert repn.commutant_dim(doubled_line, method="exact") == 4
-    assert dense_exact_commutant(doubled_line) == 4
     assert repn.commutant_dim(doubled_line) == 4
+    assert dense_exact_commutant(doubled_line) == 4
     assert dense_commutant(doubled_line) == 4
 
 
@@ -857,8 +869,8 @@ def test_block_commutant_matches_the_dense_solve_on_a3(gamma, tagged, ell,
     rep = repn.principal_series(t, backend="numeric")
     dims = repn.weight_decomposition(rep).gen_dimensions()
     assert set(dims.values()) == gen_dims
-    assert repn.commutant_dim(rep) == expected
-    assert dense_commutant(rep) == expected
+    assert (repn.commutant_dim(rep) == repn._block_commutant(rep)
+            == dense_commutant(rep) == expected)
 
 
 H = Fraction(1, 2)
@@ -880,10 +892,9 @@ def test_block_commutant_matches_the_dense_solves(label, rank, gamma,
     t = weight(build(label, rank), gamma)
     exact = repn.principal_series(t)
     numeric = repn.principal_series(t, backend="numeric")
-    assert repn.commutant_dim(exact) == expected
-    assert repn.commutant_dim(numeric) == expected
-    assert dense_commutant(exact) == dense_commutant(numeric) == expected
-    assert repn.commutant_dim(exact, method="exact") == expected
+    for rep in (exact, numeric):
+        assert (repn.commutant_dim(rep) == repn._block_commutant(rep)
+                == dense_commutant(rep) == expected)
     if exact.dim <= 8:
         assert dense_exact_commutant(exact) == expected
 
@@ -1067,9 +1078,8 @@ def test_exact_block_commutant_on_a3(gamma, expected):
     t = weight(build("A", 3, lattice_mode="GL"), gamma)
     exact = repn.principal_series(t)
     assert exact.backend == "exact" and exact.dim == 24
-    assert repn.commutant_dim(exact, method="exact") == expected
-    assert repn.commutant_dim(exact) == expected
-    assert dense_commutant(exact) == expected
+    assert (repn.commutant_dim(exact) == repn._block_commutant(exact)
+            == dense_commutant(exact) == expected)
 
 
 def test_triangular_exact_module_is_solved_in_its_weight_basis():
@@ -1079,7 +1089,6 @@ def test_triangular_exact_module_is_solved_in_its_weight_basis():
     x = ((Q, ExactScalar.one()), (ExactScalar.zero(), 1 / Q))
     rep = repn.ModuleRep.from_matrices(rs, range(2), [x], [x], verify=False)
     assert repn.commutant_dim(rep) == 2
-    assert repn.commutant_dim(rep, method="exact") == 2
     assert dense_exact_commutant(rep) == 2
 
 
@@ -1112,13 +1121,6 @@ def test_commutant_refuses_characters_closer_than_ten_tolerances():
                                        backend="numeric", verify=False)
     with pytest.raises(NumericIllConditioned, match="separated by only"):
         repn.commutant_dim(rep)
-
-
-@pytest.mark.parametrize("method", ["graph", "numeric", "typo", ""])
-def test_unknown_commutant_method_is_rejected(method):
-    rep = repn.principal_series(gamma_with_pairings(build("A", 1), ("2",)))
-    with pytest.raises(ValueError, match="unknown commutant method"):
-        repn.commutant_dim(rep, method=method)
 
 
 BACKEND_BUILDERS = {
@@ -1224,7 +1226,7 @@ def test_structural_commutant_has_no_size_limit():
                for r in range(d))
     twin = repn.ModuleRep.from_matrices(rs, range(d), [tm], [x],
                                         verify=False)
-    assert repn.commutant_dim(twin, method="exact") == 101
+    assert repn.commutant_dim(twin) == 101
 
 
 def test_block_commutant_refuses_wide_weight_spaces_past_its_limit(
@@ -1233,7 +1235,7 @@ def test_block_commutant_refuses_wide_weight_spaces_past_its_limit(
     # unknowns: at the limit, solved
     at_limit = repn.principal_series(
         weight(build("A", 3, lattice_mode="GL"), (0,) * 4), backend="numeric")
-    assert repn.commutant_dim(at_limit) == 1
+    assert repn._block_commutant(at_limit) == 1
     # the A4 P series at 0 is one 120-wide space, 14,400 unknowns: refused
     # before any weight basis or row is built
     big = repn.principal_series(weight(build("A", 4), (0,) * 5),
@@ -1244,21 +1246,54 @@ def test_block_commutant_refuses_wide_weight_spaces_past_its_limit(
 
     monkeypatch.setattr(repn, "_weight_basis", no_basis)
     with pytest.raises(TooLarge, match="14400 unknowns"):
-        repn.commutant_dim(big)
+        repn._block_commutant(big)
 
 
-def test_exact_commutant_refuses_a_numeric_module():
-    t = weight(build("A", 1), (1, 0))
-    with pytest.raises(ValueError, match="numeric"):
-        repn.commutant_dim(repn.principal_series(t, backend="numeric"),
-                           method="exact")
+# the principal series whose wide spaces hold more than BLOCK_UNKNOWNS_LIMIT
+# unknowns: the A4 P series at 0 (one 120-wide space), D4 (32 spaces of width
+# 6) and B4 (96 of width 4) at simple root pairings (1, 0, 1, 0), and B3 and
+# C3 at 0 (one 48-wide space)
+GUARDED_SERIES = [
+    ("A", 4, None, "numeric"),
+    ("D", 4, ("1", "0", "1", "0"), "numeric"),
+    ("B", 4, ("1", "0", "1", "0"), "numeric"),
+    ("B", 3, None, "exact"),
+    ("C", 3, None, "exact"),
+]
+
+
+@pytest.mark.parametrize("label,rank,pairings,backend", GUARDED_SERIES)
+def test_principal_series_past_the_block_guard_get_a_commutant(
+        label, rank, pairings, backend):
+    rs = build(label, rank)
+    t = (weight(rs, (0,) * rs.dim) if pairings is None
+         else gamma_with_pairings(rs, pairings))
+    rep = repn.principal_series(t, backend=backend)
+    assert rep.backend == backend
+    with pytest.raises(TooLarge):
+        repn._block_commutant(rep)
+    assert repn.commutant_dim(rep) == 1
+
+
+def test_from_matrices_refuses_the_principal_series_label():
+    # commutant_dim answers that label by Frobenius reciprocity, which holds
+    # only for the induced module: here its matrices summed with themselves
+    rs = build("A", 1)
+    line = repn.principal_series(gamma_with_pairings(rs, ("2",)))
+    doubled = repn.direct_sum(line, line)
+    assert repn.commutant_dim(doubled) == 4
+    with pytest.raises(ValueError, match="principal_series"):
+        repn.ModuleRep.from_matrices(
+            rs, doubled.basis, doubled.t_mats, doubled.x_mats,
+            weight=line.weight, basis_weights=doubled.basis_weights,
+            kind="principal_series")
 
 
 def test_commutant_methods_agree_on_a_simple_module():
     rs = build("A", 1)
     t = gamma_with_pairings(rs, ("2",))
     rep = repn.principal_series(t)
-    assert repn.commutant_dim(rep, method="exact") == 1
+    assert repn.commutant_dim(rep) == repn._block_commutant(rep) == 1
     assert dense_exact_commutant(rep) == 1
     numeric = repn.principal_series(t, backend="numeric")
     assert repn.commutant_dim(numeric) == 1
