@@ -606,6 +606,21 @@ def test_describe_is_unchanged_over_the_ladder():
         "ef4098159383e3113cb34964807c6f1df37940b95ecbb4fa7c9066e452a069a5")
 
 
+# A1-A5 on both lattices, the other types on P: the ladder of the Weyl tests
+GOLDEN_LADDER = ([("A", r, m) for r in range(1, 6) for m in ("P", "GL")]
+                 + [(t, r, "P") for t in "BCD" for r in (2, 3, 4)]
+                 + [("G", 2, "P")])
+
+
+def test_describe_and_dual_basis_are_pinned_over_the_ladder():
+    # recorded from the construction that solved one system per weight
+    doc = json.dumps([[rs.describe(), rs._dual_basis]
+                      for rs in (build(*key) for key in GOLDEN_LADDER)],
+                     sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "a732e917867cec029e39969179f4685887ea08736539fd10324d4ded7be69b53")
+
+
 class HalfIntegerF4(RootSystem):
     """F4's simple roots (Bourbaki, plate VIII), one of them with halves."""
 
