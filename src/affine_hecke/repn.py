@@ -100,6 +100,14 @@ class _ExactScalars:
     def __init__(self, t: Weight | None = None):
         self.ev = None if t is None else _memoized(Weight(t.rs, t.gamma).eval)
 
+    @staticmethod
+    def col_eq(u: dict, v: dict) -> bool:
+        """Sparse columns u and v agree row by row, a missing row reading
+        zero."""
+        zero = ExactScalar.zero()
+        return all(u.get(r, zero) == v.get(r, zero)
+                   for r in u.keys() | v.keys())
+
     def at(self, t: Weight) -> "_ExactScalars":
         return _ExactScalars(t)
 
@@ -156,6 +164,19 @@ class _NumericScalars:
 
     def eq(self, x, y) -> bool:
         return near(x, y, NUMERIC_TOL)
+
+    def col_eq(self, u: dict, v: dict) -> bool:
+        """eq on every row of the sparse columns u and v, a missing row
+        reading zero, in one inline pass: |a - b| <= NUMERIC_TOL * max(1,
+        |a|, |b|), which holds when it holds for one of the three."""
+        for r in u.keys() | v.keys():
+            a = u.get(r, 0j)
+            b = v.get(r, 0j)
+            d = abs(a - b)
+            if (d > NUMERIC_TOL and d > NUMERIC_TOL * abs(a)
+                    and d > NUMERIC_TOL * abs(b)):
+                return False
+        return True
 
     def q(self, k):
         return self.q0 ** k
@@ -241,12 +262,6 @@ def _add_scaled(y: dict, c, x: dict) -> dict:
         v = c * v
         y[r] = y[r] + v if r in y else v
     return y
-
-
-def _sparse_eq(u: dict, v: dict, ops) -> bool:
-    zero = ops.zero()
-    return all(ops.eq(u.get(r, zero), v.get(r, zero))
-               for r in u.keys() | v.keys())
 
 
 def _is_upper(cols) -> bool:
@@ -560,6 +575,7 @@ def verify_relations(rep: ModuleRep) -> dict:
     """
     rs = rep.rs
     ops = rep._ops
+    col_eq = ops.col_eq
     d = rep.dim
     one = ops.one()
     qm = ops.qm
@@ -568,7 +584,7 @@ def verify_relations(rep: ModuleRep) -> dict:
     report = {"backend": rep.backend, "dim": d, "tolerance": ops.tol}
 
     def holds(lhs, rhs) -> bool:
-        return all(_sparse_eq(lhs(k), rhs(k), ops) for k in range(d))
+        return all(col_eq(lhs(k), rhs(k)) for k in range(d))
 
     def word(mats, k: int) -> dict:
         v = mats[-1][k]

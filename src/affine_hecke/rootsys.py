@@ -345,19 +345,20 @@ class RootSystem:
     def _compute_weights(self):
         # Cartan integers <a_i, a_j^vee> = 2 (a_i, a_j) / (a_j, a_j) from
         # integer dot products, then <w_i, a_j^vee> = delta_ij solved inside
-        # the span of the simple roots
+        # the span of the simple roots, all r weights at once
         simples = [self._root_coords[k] for k in self._simple_index]
         r = self.rank
         gram = [[sum(map(mul, a, b)) for b in simples] for a in simples]
         self.cartan_matrix = tuple(
             tuple(Fraction(2 * gram[i][j] // gram[j][j]) for j in range(r))
             for i in range(r))
-        omegas = []
-        for i in range(r):
-            coeffs = solve_linear(mat_transpose(self.cartan_matrix),
-                                  [int(j == i) for j in range(r)])
-            omegas.append(tuple(sum(map(mul, coeffs, col))
-                                for col in zip(*simples)))
+        # one elimination of [C^T | I] leaves [I | (C^T)^-1], whose column
+        # i holds the simple-root coordinates of w_i
+        work = [list(row) + [F1 if j == i else F0 for j in range(r)]
+                for i, row in enumerate(mat_transpose(self.cartan_matrix))]
+        _rref(work, 2 * r, _FractionOps, pivot_limit=r)
+        omegas = [tuple(sum(row[r + i] * c for row, c in zip(work, col))
+                        for col in zip(*simples)) for i in range(r)]
         # d_i in the root span with <d_i, a_j> = delta_ij, for WeylElt's
         # matrix, kept as (den, integer numerators of each d_i)
         dual = [vec_scale(Fraction(2, gram[i][i]), omega)
@@ -480,16 +481,50 @@ class RootSystem:
     def weyl_elements(self) -> tuple["WeylElt", ...]:
         """Every Weyl element exactly once, sorted by (length, reduced word).
         Raises GroupTooLarge when |W| exceeds weyl_cap(), which the
-        AFFINE_HECKE_WEYL_CAP environment variable sets."""
+        AFFINE_HECKE_WEYL_CAP environment variable sets.
+
+        W is walked up the left weak order one length layer at a time, so
+        nothing is sorted afterwards. For each i in turn, and each v of
+        layer l in order, s_i v lies in layer l + 1 exactly when
+        v^-1(a_i) = root j is positive, and then R(s_i v) = R(v) + {root j}.
+        The first i to reach an element is its least left descent, the first
+        letter of its lexicographically least reduced word, so each layer
+        comes out in (length, reduced word) order (Bjoerner and Brenti, GTM
+        231, ch. 3; Casselman, Electron. J. Combin. 9, 2002). Each element
+        gets its length, reduced word and inversion set as it is found.
+        """
         limit = weyl_cap()
         if self.weyl_order() > limit:
             raise GroupTooLarge(
                 f"|W| = {self.weyl_order()} exceeds cap {limit}")
         if self._all_elements is None:
-            elements = self.subgroup(self._simple_reflections)
+            n = len(self.positive_roots)
+            single = self._positive_singletons()
+            gens = [(i, k, s.perm) for i, (k, s) in enumerate(
+                zip(self._simple_index, self._simple_reflections))]
+            e = self._identity
+            e._len, e._word, e._inv = 0, (), frozenset()
+            elements = [e]
+            layer = [e]
+            while layer:
+                found = {}  # keyed by inversion set, which determines w
+                for i, k, s in gens:
+                    for v in layer:
+                        j = v.perm.index(k)
+                        if j >= n:
+                            continue
+                        inv = v._inv | single[j]
+                        if inv not in found:
+                            w = found[inv] = self._elt(
+                                tuple(map(s.__getitem__, v.perm)))
+                            w._len = v._len + 1
+                            w._word = (i,) + v._word
+                            w._inv = inv
+                layer = list(found.values())
+                elements += layer
             if len(elements) != self.weyl_order():
                 raise AssertionError("Weyl enumeration count mismatch")
-            self._all_elements = elements
+            self._all_elements = tuple(elements)
         return self._all_elements
 
     def long_element(self) -> "WeylElt":
@@ -502,9 +537,12 @@ class RootSystem:
             w = w * self.simple_reflection(i)
 
     def subgroup(self, generators) -> tuple["WeylElt", ...]:
-        """Enumerate the subgroup generated by the given elements.  Raises
+        """Enumerate the subgroup generated by the given elements, closed
+        breadth first and sorted by (length, reduced word). Raises
         GroupTooLarge past weyl_cap() elements, which the
-        AFFINE_HECKE_WEYL_CAP environment variable sets."""
+        AFFINE_HECKE_WEYL_CAP environment variable sets. It serves arbitrary
+        generators, such as the reflections of Weight.stabilizer; W itself
+        comes from weyl_elements, which walks it in order with no sort."""
         limit = weyl_cap()
         seen = {self.identity()}
         frontier = [self.identity()]
@@ -677,7 +715,8 @@ class WeylElt:
 
     def inversion_set(self) -> frozenset:
         """R(w) = positive roots sent negative by w, a union of the root
-        system's _positive_singletons."""
+        system's _positive_singletons: seeded by weyl_elements as it walks
+        W, else the union over inversions()."""
         if self._inv is None:
             single = self.rs._positive_singletons()
             self._inv = frozenset().union(*map(single.__getitem__,

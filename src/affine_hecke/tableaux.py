@@ -961,7 +961,14 @@ def periodic_configuration(t, J, ell=None) -> PlacedConfiguration:
     Contents live in 0..ell-1; a pair with contents (0, ell-1) wraps
     around the period and follows the inverted placement rule (in J means
     southeast).  Only the in-window pairs constrain the picture; wrap
-    pairs are kept as data and still order the entries of fillings."""
+    pairs are kept as data and still order the entries of fillings.
+
+    The period (width, ell - width) is the step from the window to its next
+    copy: it raises every content by ell, and each copy starts one column
+    past the last column of the one before, so copies never overlap.  A
+    window may hold more than ell columns, as two boxes may share a
+    diagonal; its copies then step down, and the period's second entry is
+    negative, as (5, -1) for (0, 0, 1, 2, 3) at ell = 4."""
     if isinstance(t, Weight):
         if t.ell is None:
             raise BadEll("periodic configurations need a root-of-unity weight")

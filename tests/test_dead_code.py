@@ -279,3 +279,27 @@ def test_no_float_copy_of_an_exact_module_is_defined():
                and isinstance(node.ctx, ast.Store)}
     assert "commutant_dim" in defined
     assert "_specialized_copy" not in defined
+
+
+def _rootsys_method(name):
+    tree = ast.parse((SRC / "rootsys.py").read_text())
+    root_system = next(node for node in tree.body
+                       if isinstance(node, ast.ClassDef)
+                       and node.name == "RootSystem")
+    return next(node for node in root_system.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+# W is walked in (length, reduced word) order: the closure of arbitrary
+# generators and its sort serve other subgroups only.
+def test_weyl_elements_neither_closes_nor_sorts():
+    names = _references(_rootsys_method("weyl_elements"))
+    assert "_elt" in names
+    assert not names & {"subgroup", "sorted", "sort", "sort_key"}
+
+
+# The fundamental weights come from one elimination of [C^T | I].
+def test_fundamental_weights_take_one_elimination():
+    names = _references(_rootsys_method("_compute_weights"))
+    assert "_rref" in names
+    assert not names & {"solve_linear", "_solve_in_span"}

@@ -206,6 +206,42 @@ def test_the_column_check_flags_a_perturbed_last_column(fixture):
                 assert module.report[family]["failures"] == found[family]
 
 
+def test_numeric_column_comparison_is_near_on_every_row():
+    # one pass per column, with near's rule row by row and a missing row
+    # reading zero; gaps sit just inside and just outside the tolerance at
+    # sizes below, at and above 1
+    ops = repn._NumericScalars()
+    tol = repn.NUMERIC_TOL
+    rng = np.random.default_rng(7)
+    cases = 0
+    for scale in (1e-12, 1e-9, 1.0, 3.0, 1e6):
+        for gap in (0.5, 0.999, 1.0, 1.001, 2.0):
+            for _ in range(20):
+                rows = rng.choice(6, size=rng.integers(1, 6), replace=False)
+                u = {int(r): complex(*rng.normal(size=2)) * scale
+                     for r in rows}
+                v = dict(u)
+                r = int(rng.choice(rows))
+                bound = tol * max(1.0, abs(u[r]))
+                v[r] = u[r] + gap * bound * complex(*rng.normal(size=2)) / (
+                    2 ** 0.5)
+                if rng.random() < 0.3:
+                    v[6] = gap * tol  # a row missing from u
+                expected = all(near(u.get(k, 0j), v.get(k, 0j), tol)
+                               for k in u.keys() | v.keys())
+                assert ops.col_eq(u, v) == ops.col_eq(v, u) == expected
+                cases += expected
+    assert 0 < cases < 500
+
+
+def test_exact_column_comparison_reads_a_missing_row_as_zero():
+    ops = repn._ExactScalars()
+    one, zero = ops.one(), ops.zero()
+    assert ops.col_eq({0: one, 1: zero}, {0: one})
+    assert not ops.col_eq({0: one}, {0: one, 2: one})
+    assert not ops.col_eq({0: one}, {0: ExactScalar.q_power(1)})
+
+
 def test_the_column_check_agrees_with_dense_products_on_a_failing_series():
     # the P lattice at a root of unity fails cross relations (a known defect
     # of the exponent reduction), which both checks must find alike
@@ -641,8 +677,7 @@ def test_x_times_its_inverse_is_the_identity_column_by_column(make):
         inverse = repn._inverse(x, ops)
         assert len(inverse) == rep.dim
         for k, col in enumerate(inverse):
-            assert repn._sparse_eq(repn._apply(x, col, ops), {k: ops.one()},
-                                   ops)
+            assert ops.col_eq(repn._apply(x, col, ops), {k: ops.one()})
 
 
 @pytest.mark.parametrize("ops", [repn._ExactScalars(), repn._NumericScalars()],

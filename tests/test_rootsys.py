@@ -392,6 +392,27 @@ def test_one_line_agrees_with_reflection_matrices(label, rank, mode,
     assert len(set(matrices.values())) == rs.weyl_order()
 
 
+WALK_LADDER = ([("A", r, "P") for r in range(1, 6)] + [("A", 3, "GL")]
+               + [(t, r, "P") for t in "BC" for r in (2, 3, 4)]
+               + [("D", 4, "P"), ("G", 2, "P")])
+
+
+@pytest.mark.parametrize("label,rank,mode", WALK_LADDER)
+def test_the_ordered_walk_agrees_with_the_sorted_closure(label, rank, mode):
+    # two fresh systems, so the closure's lengths, words (by descent
+    # stripping) and inversion sets (from inversions()) are its own
+    walked = build(label, rank, lattice_mode=mode).weyl_elements()
+    other = build(label, rank, lattice_mode=mode)
+    closed = other.subgroup([other.simple_reflection(i)
+                             for i in range(rank)])
+    assert len(walked) == len(closed) == other.weyl_order()
+    for w, v in zip(walked, closed):
+        assert w.perm == v.perm
+        assert w.length() == v.length()
+        assert w.reduced_word() == v.reduced_word()
+        assert w.inversion_set() == v.inversion_set()
+
+
 @pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("G", 2)])
 def test_reduced_words_are_lex_least_by_brute_force(label, rank):
     rs = build(label, rank)

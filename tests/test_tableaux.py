@@ -148,6 +148,37 @@ def test_wrap_flags_name_the_pairs_across_the_period():
     assert cfg.wrap_flags == {(1, 5): "NW", (2, 5): "NW"}
 
 
+def periodic_copies_are_disjoint(cfg):
+    """The period raises each content (x + y up to a constant) by ell, spans
+    the window's columns, and the window misses its next copy."""
+    dx, dy = cfg.period
+    cells = {(b.x, b.y) for b in cfg.boxes}
+    return (dx + dy == cfg.ell
+            and dx == max(x for x, _ in cells) - min(x for x, _ in cells) + 1
+            and not cells & {(x + dx, y + dy) for x, y in cells})
+
+
+def test_a_window_wider_than_ell_is_one_period_of_its_picture():
+    cfg = tb.periodic_configuration((0, 0, 1, 2, 3), [], ell=4)
+    assert cfg.period == (5, -1)
+    assert tb.render_text(cfg).endswith("period: (5, -1)")
+    assert periodic_copies_are_disjoint(cfg)
+    assert tb.verify_bijection(cfg).ok
+    # every 4-box window at ell = 3, wider than ell or not
+    rs = build("A", 3, lattice_mode="GL")
+    widths = set()
+    for gamma in itertools.combinations_with_replacement(range(3), 4):
+        t = weight(rs, gamma, ell=3)
+        for J in subsets(t.zp_sets()[1]):
+            try:
+                cfg = tb.periodic_configuration(t, J)
+            except HeckeError:
+                continue
+            assert periodic_copies_are_disjoint(cfg), (gamma, J)
+            widths.add(cfg.period[0])
+    assert widths == {2, 3, 4}
+
+
 @pytest.mark.parametrize("lam,mu,match", [
     ((2, -1), (), "partitions"), ((2,), (1, 1), "partitions"),
     ((1, 2), (), "lambda must be weakly decreasing"),
