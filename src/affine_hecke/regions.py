@@ -6,13 +6,13 @@ and a walk up the weak order that never enumerates W and therefore scales to
 large symmetric groups. The two agree wherever both run; tests cross-check
 them on small ranks.
 
-Every weak-order search here is one walk, _walk_up, which climbs by steps
-x -> s_beta x that each add one allowed inversion. It gives the ideal
-{w : R(w) cap Z empty, R(w) cap P subset J} that chamber_set_pruned filters
-to F^(t,J), the coset part W^[gamma] = {sigma : R(sigma) cap R_[gamma] empty}
-and the interval [tau_lo, tau_hi] of the integral reflection subgroup, whose
-product is F^(t,J) (Bjoerner and Brenti, Combinatorics of Coxeter Groups,
-GTM 231, ch. 3).
+The lower ideals of the weak order come from the ordered walk of W,
+RootSystem._lower_ideal: {w : R(w) cap Z empty, R(w) cap P subset J}, which
+chamber_set_pruned filters to F^(t,J), and the coset part
+W^[gamma] = {sigma : R(sigma) cap R_[gamma] empty}. The one walk that starts
+elsewhere, _walk_up, gives the interval [tau_lo, tau_hi] of the integral
+reflection subgroup; the coset part times the interval is F^(t,J) (Bjoerner
+and Brenti, Combinatorics of Coxeter Groups, GTM 231, ch. 3).
 """
 
 from __future__ import annotations
@@ -105,7 +105,8 @@ def chamber_set(t: Weight, J) -> ChamberSet:
 
 
 def _walk_up(rs: RootSystem, start: WeylElt, roots, banned) -> tuple:
-    """Everything reachable from start by upward steps x -> s_beta x.
+    """Everything reachable from start by upward steps x -> s_beta x: the
+    interval above tau_lo, which is not a lower ideal of W.
 
     A step by a root beta in `roots` adds the single inversion x^{-1}(beta);
     it is taken when that root is positive and outside `banned`. The result
@@ -136,8 +137,7 @@ def chamber_set_pruned(t: Weight, J) -> ChamberSet:
     """Same contract as chamber_set, but walks the weak-order ideal
     {w : R(w) cap Z = empty, R(w) cap P subset J} up from the identity."""
     J, Z, P = _checked_J(t, J)
-    rs = t.rs
-    ideal = _walk_up(rs, rs.identity(), rs.simple_roots, Z | (P - J))
+    ideal = t.rs._lower_ideal(Z | (P - J))
     return ChamberSet(t, J, tuple(w for w in ideal
                                   if w.inversion_set() & P == J))
 
@@ -319,7 +319,7 @@ def interval_structure(t: Weight, J) -> IntervalStructure:
             # W^[gamma] = {sigma : R(sigma) cap R_[gamma] empty}; the walk
             # from tau_lo stays in W_[gamma], which maps R_[gamma] to itself,
             # so each new inversion is integral and banned outside hi_target
-            upper = _walk_up(rs, rs.identity(), rs.simple_roots, integral)
+            upper = rs._lower_ideal(integral)
             interval = _walk_up(rs, tau_lo, simples, integral - hi_target)
             product = {sigma * x for sigma in upper for x in interval}
             verification["product_matches"] = product == set(F)
@@ -358,7 +358,8 @@ def conjugate(region: LocalRegion, w: WeylElt | None = None) -> Conjugation:
     _, W_gamma = t.stabilizer()
     v = max(W_gamma, key=lambda x: x.length())
     if v.inversion_set() != Z:
-        raise AssertionError("longest stabilizer element must invert exactly Z")
+        raise UnsupportedType(
+            "conjugation needs Z(t) to be a standard parabolic root system")
     u = rs.long_element() * v
     if u.inversion_set() != frozenset(rs.positive_roots) - Z:
         raise AssertionError("u must invert the complement of Z")

@@ -17,11 +17,17 @@ Python ints, as every root coordinate and Cartan integer here is one
 public values are Fractions: acting on a root is a lookup, on any other
 vector an integer matrix product, the matrix built once per element.
 
-Exact Gaussian elimination lives here once (_rref): solve_linear over
-Fractions, and the module code over exact scalars through an ops object.
-Elimination is exact only: numeric modules rank by singular values
-(repn._numeric_nullity), and every module inverts its upper triangular X by
-back-substitution (repn._coordinates).
+W and each lower ideal {w : R(w) cap B empty} of its left weak order come
+from one walk (RootSystem._lower_ideal), one length layer at a time and
+already in (length, reduced word) order.
+
+Exact Gaussian elimination lives here once (_rref): the fundamental weights
+over Fractions, and the module ranks over exact scalars through an ops
+object. Lattice coordinates need none: on the P lattice they are the coroot
+pairings <x, a_i^vee> (Bourbaki, ch. VI, 1.10). Elimination is exact only:
+numeric modules rank by singular values (repn._numeric_nullity), and every
+module inverts its upper triangular X by back-substitution
+(repn._coordinates).
 """
 
 from __future__ import annotations
@@ -107,32 +113,19 @@ def identity_matrix(n):
 
 
 class _FractionOps:
-    """Scalar ops for the elimination helpers below, over Fractions."""
-
-    @staticmethod
-    def zero():
-        return F0
-
-    @staticmethod
-    def one():
-        return F1
+    """Scalar ops for _rref below, over Fractions."""
 
     @staticmethod
     def is_zero(x) -> bool:
         return x == 0
 
 
-def _rref(rows, ncols: int, ops, pivot_limit: int | None = None):
+def _rref(rows, ncols: int, ops):
     """In-place reduced row echelon form over exact scalars, pivoting on the
-    first nonzero entry; returns the pivot column list.
-
-    pivot_limit restricts pivot search to the first columns, which is how the
-    subspace solvers detect inconsistency (a pivot needed past the limit).
-    """
-    limit = ncols if pivot_limit is None else pivot_limit
+    first nonzero entry; returns the pivot column list."""
     pivots = []
     r = 0
-    for c in range(limit):
+    for c in range(ncols):
         if r >= len(rows):
             break
         p = next((k for k in range(r, len(rows))
@@ -171,38 +164,6 @@ def _rank_nullspace(rows, ops):
             v[pc] = -work[row_idx][f]
         basis.append(tuple(v))
     return len(pivots), tuple(basis)
-
-
-def _solve_in_span(basis_mat, target_mat, ops):
-    """C with basis_mat . C = target_mat; ValueError if the target leaves the span.
-
-    basis_mat is d x m, target_mat is d x k. Unknowns of dependent columns
-    of basis_mat are set to zero.
-    """
-    d, m = len(basis_mat), len(basis_mat[0]) if basis_mat else 0
-    k = len(target_mat[0]) if target_mat else 0
-    work = [list(basis_mat[i]) + list(target_mat[i]) for i in range(d)]
-    pivots = _rref(work, m + k, ops, pivot_limit=m)
-    zero = ops.zero()
-    # rows with no pivot must be zero across the target block
-    for idx in range(len(pivots), d):
-        if any(not ops.is_zero(work[idx][m + j]) for j in range(k)):
-            raise ValueError("target is not in the span of the basis")
-    sol = [[zero] * k for _ in range(m)]
-    for row_idx, pc in enumerate(pivots):
-        for j in range(k):
-            sol[pc][j] = work[row_idx][m + j]
-    return tuple(tuple(row) for row in sol)
-
-
-def solve_linear(rows, rhs):
-    """Solve A x = b exactly, free unknowns set to 0; None if inconsistent."""
-    try:
-        sol = _solve_in_span(tuple(vec(row) for row in rows),
-                             tuple((Fraction(b),) for b in rhs), _FractionOps)
-    except ValueError:
-        return None
-    return tuple(row[0] for row in sol)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +317,7 @@ class RootSystem:
         # i holds the simple-root coordinates of w_i
         work = [list(row) + [F1 if j == i else F0 for j in range(r)]
                 for i, row in enumerate(mat_transpose(self.cartan_matrix))]
-        _rref(work, 2 * r, _FractionOps, pivot_limit=r)
+        _rref(work, 2 * r, _FractionOps)
         omegas = [tuple(sum(row[r + i] * c for row, c in zip(work, col))
                         for col in zip(*simples)) for i in range(r)]
         # d_i in the root span with <d_i, a_j> = delta_ij, for WeylElt's
@@ -424,13 +385,19 @@ class RootSystem:
 
     def lattice_coords(self, x):
         """Integer coordinates of x over lattice_generators(), or None off
-        the lattice: x itself on GL, else solved once per vector."""
+        the lattice: x itself on GL, else the coroot pairings
+        <x, a_i^vee>, which sum back to x over the fundamental weights
+        exactly when x lies in the root span; read once per vector."""
         key = tuple(x)
         if len(key) != self.dim:
             return None
         if self.lattice_mode == "P" and key not in self._coords_cache:
-            self._coords_cache[key] = solve_linear(
-                mat_transpose(self.lattice_generators()), key)
+            x = vec(key)
+            pairings = tuple(vec_dot(x, self.coroot(a))
+                             for a in self.simple_roots)
+            back = tuple(sum(map(mul, pairings, col))
+                         for col in zip(*self.fundamental_weights))
+            self._coords_cache[key] = pairings if back == x else None
         coeffs = key if self.lattice_mode == "GL" else self._coords_cache[key]
         coords = None if coeffs is None else tuple(map(int, coeffs))
         return coords if coords == coeffs else None
@@ -479,53 +446,63 @@ class RootSystem:
         return _KNOWN_ORDERS[self.type_label](self.rank)
 
     def weyl_elements(self) -> tuple["WeylElt", ...]:
-        """Every Weyl element exactly once, sorted by (length, reduced word).
-        Raises GroupTooLarge when |W| exceeds weyl_cap(), which the
-        AFFINE_HECKE_WEYL_CAP environment variable sets.
-
-        W is walked up the left weak order one length layer at a time, so
-        nothing is sorted afterwards. For each i in turn, and each v of
-        layer l in order, s_i v lies in layer l + 1 exactly when
-        v^-1(a_i) = root j is positive, and then R(s_i v) = R(v) + {root j}.
-        The first i to reach an element is its least left descent, the first
-        letter of its lexicographically least reduced word, so each layer
-        comes out in (length, reduced word) order (Bjoerner and Brenti, GTM
-        231, ch. 3; Casselman, Electron. J. Combin. 9, 2002). Each element
-        gets its length, reduced word and inversion set as it is found.
-        """
+        """Every Weyl element exactly once, sorted by (length, reduced word):
+        the lower ideal with nothing banned. Raises GroupTooLarge when |W|
+        exceeds weyl_cap(), which the AFFINE_HECKE_WEYL_CAP environment
+        variable sets."""
         limit = weyl_cap()
         if self.weyl_order() > limit:
             raise GroupTooLarge(
                 f"|W| = {self.weyl_order()} exceeds cap {limit}")
         if self._all_elements is None:
-            n = len(self.positive_roots)
-            single = self._positive_singletons()
-            gens = [(i, k, s.perm) for i, (k, s) in enumerate(
-                zip(self._simple_index, self._simple_reflections))]
-            e = self._identity
-            e._len, e._word, e._inv = 0, (), frozenset()
-            elements = [e]
-            layer = [e]
-            while layer:
-                found = {}  # keyed by inversion set, which determines w
-                for i, k, s in gens:
-                    for v in layer:
-                        j = v.perm.index(k)
-                        if j >= n:
-                            continue
-                        inv = v._inv | single[j]
-                        if inv not in found:
-                            w = found[inv] = self._elt(
-                                tuple(map(s.__getitem__, v.perm)))
-                            w._len = v._len + 1
-                            w._word = (i,) + v._word
-                            w._inv = inv
-                layer = list(found.values())
-                elements += layer
+            elements = self._lower_ideal(())
             if len(elements) != self.weyl_order():
                 raise AssertionError("Weyl enumeration count mismatch")
-            self._all_elements = tuple(elements)
+            self._all_elements = elements
         return self._all_elements
+
+    def _lower_ideal(self, banned) -> tuple["WeylElt", ...]:
+        """{w : R(w) cap banned empty} for positive roots banned, a lower
+        ideal of the left weak order, sorted by (length, reduced word).
+
+        It is walked up one length layer at a time, so nothing is sorted
+        afterwards. For each i in turn, and each v of layer l in order, s_i v
+        lies in layer l + 1 exactly when v^-1(a_i) = root j is positive, and
+        then R(s_i v) = R(v) + {root j}; the step is skipped when root j is
+        banned. Each w of the ideal is first reached through its least left
+        descent i, the first letter of its lexicographically least reduced
+        word, as R(s_i w) lies inside R(w) and so s_i w in the previous layer
+        of the same ideal; each layer thus comes out in (length, reduced
+        word) order (Bjoerner and Brenti, GTM 231, ch. 3; Casselman,
+        Electron. J. Combin. 9, 2002). Each element gets its length, reduced
+        word and inversion set as it is found.
+        """
+        n = len(self.positive_roots)
+        single = self._positive_singletons()
+        banned = {self.root_index[a] for a in banned}
+        gens = [(i, k, s.perm) for i, (k, s) in enumerate(
+            zip(self._simple_index, self._simple_reflections))]
+        e = self._identity
+        e._len, e._word, e._inv = 0, (), frozenset()
+        elements = [e]
+        layer = [e]
+        while layer:
+            found = {}  # keyed by inversion set, which determines w
+            for i, k, s in gens:
+                for v in layer:
+                    j = v.perm.index(k)
+                    if j >= n or j in banned:
+                        continue
+                    inv = v._inv | single[j]
+                    if inv not in found:
+                        w = found[inv] = self._elt(
+                            tuple(map(s.__getitem__, v.perm)))
+                        w._len = v._len + 1
+                        w._word = (i,) + v._word
+                        w._inv = inv
+            layer = list(found.values())
+            elements += layer
+        return tuple(elements)
 
     def long_element(self) -> "WeylElt":
         w = self.identity()
@@ -541,8 +518,9 @@ class RootSystem:
         breadth first and sorted by (length, reduced word). Raises
         GroupTooLarge past weyl_cap() elements, which the
         AFFINE_HECKE_WEYL_CAP environment variable sets. It serves arbitrary
-        generators, such as the reflections of Weight.stabilizer; W itself
-        comes from weyl_elements, which walks it in order with no sort."""
+        generators, such as the reflections of Weight.stabilizer; W and its
+        lower ideals come from _lower_ideal, which walks them in order with
+        no sort."""
         limit = weyl_cap()
         seen = {self.identity()}
         frontier = [self.identity()]

@@ -298,18 +298,14 @@ def weight(rs: RootSystem, gamma, tags=None, ell: int | None = None) -> Weight:
 
 
 def height_character(rs: RootSystem) -> Weight:
-    """The weight with <gamma, alpha_i> = 1 for every simple root.
+    """The weight with <gamma, alpha_i> = 1 for every simple root: the sum
+    of the dual basis d_i of the simple roots in their span.
 
     Its value on X^alpha is q^{2 ht(alpha)}, so Z is empty and P is exactly
     the set of simple roots.
     """
-    from .rootsys import mat_transpose, solve_linear, vec_add, vec_scale
-    gram = [[vec_dot(a, b) for b in rs.simple_roots] for a in rs.simple_roots]
-    coeffs = solve_linear(mat_transpose(gram), [Fraction(1)] * rs.rank)
-    gamma = vec([0] * rs.dim)
-    for c, a in zip(coeffs, rs.simple_roots):
-        gamma = vec_add(gamma, vec_scale(c, a))
-    return Weight(rs, gamma)
+    den, dual = rs._dual_basis
+    return Weight(rs, tuple(Fraction(sum(col), den) for col in zip(*dual)))
 
 
 def parse_gamma(text: str) -> tuple[Fraction, ...]:

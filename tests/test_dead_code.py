@@ -183,17 +183,55 @@ def test_ranks_go_through_one_helper():
     assert _reads_in_src(_is_rank_call) == RANK_READERS
 
 
-# Triangular solves are back-substitutions (repn._coordinates); exact span
-# solves serve solve_linear only.
-SPAN_SOLVERS = {"rootsys.py:solve_linear"}
+# Triangular solves are back-substitutions (repn._coordinates), and lattice
+# coordinates are coroot pairings: no span solver is left, and the one
+# elimination serves the fundamental weights and the exact rank.
+def _defined_names():
+    return {node.id if isinstance(node, ast.Name) else node.name
+            for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            or isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Store)}
 
 
-def _is_span_solve(node):
-    return isinstance(node, ast.Name) and node.id == "_solve_in_span"
+def test_no_span_solver_is_defined():
+    defined = _defined_names()
+    assert "_rref" in defined
+    assert not defined & {"solve_linear", "_solve_in_span"}
+    tree = ast.parse((SRC / "rootsys.py").read_text())
+    rref = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_rref")
+    assert [a.arg for a in rref.args.args] == ["rows", "ncols", "ops"]
 
 
-def test_span_solves_serve_solve_linear_only():
-    assert _reads_in_src(_is_span_solve) == SPAN_SOLVERS
+def _is_rref_read(node):
+    return isinstance(node, ast.Name) and node.id == "_rref"
+
+
+def test_rref_serves_the_fundamental_weights_and_the_rank_only():
+    assert _reads_in_src(_is_rref_read) == {"rootsys.py:_compute_weights",
+                                            "rootsys.py:_rank_nullspace"}
+
+
+# Lower ideals of the weak order come from RootSystem._lower_ideal, already
+# in order; _walk_up serves the one walk that is not a lower ideal, the
+# interval of the integral reflection subgroup.
+def _is_walk_up_read(node):
+    return isinstance(node, ast.Name) and node.id == "_walk_up"
+
+
+def test_walk_up_serves_the_interval_only():
+    assert _reads_in_src(_is_walk_up_read) == {
+        "regions.py:interval_structure"}
+    tree = ast.parse((SRC / "regions.py").read_text())
+    pruned = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "chamber_set_pruned")
+    names = _references(pruned)
+    assert "_lower_ideal" in names
+    assert not names & {"_walk_up", "sorted", "sort", "sort_key"}
 
 
 # Every X is upper triangular in the module basis: ModuleRep.__init__ checks
@@ -270,13 +308,7 @@ def test_commutant_dim_takes_the_module_alone():
 
 
 def test_no_float_copy_of_an_exact_module_is_defined():
-    defined = {node.id if isinstance(node, ast.Name) else node.name
-               for path in sorted(SRC.glob("*.py"))
-               for node in ast.walk(ast.parse(path.read_text()))
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                    ast.ClassDef))
-               or isinstance(node, ast.Name)
-               and isinstance(node.ctx, ast.Store)}
+    defined = _defined_names()
     assert "commutant_dim" in defined
     assert "_specialized_copy" not in defined
 
@@ -290,12 +322,16 @@ def _rootsys_method(name):
                 if isinstance(node, ast.FunctionDef) and node.name == name)
 
 
-# W is walked in (length, reduced word) order: the closure of arbitrary
+# W is the lower ideal with nothing banned, and every lower ideal is walked
+# in (length, reduced word) order by _lower_ideal: the closure of arbitrary
 # generators and its sort serve other subgroups only.
 def test_weyl_elements_neither_closes_nor_sorts():
     names = _references(_rootsys_method("weyl_elements"))
-    assert "_elt" in names
-    assert not names & {"subgroup", "sorted", "sort", "sort_key"}
+    assert "_lower_ideal" in names
+    assert not names & {"_elt", "subgroup", "sorted", "sort", "sort_key"}
+    walk = _references(_rootsys_method("_lower_ideal"))
+    assert "_elt" in walk
+    assert not walk & {"subgroup", "sorted", "sort", "sort_key"}
 
 
 # The fundamental weights come from one elimination of [C^T | I].

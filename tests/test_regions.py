@@ -14,21 +14,17 @@ from affine_hecke.errors import (
     NotDominant,
     UnsupportedType,
 )
-from affine_hecke.rootsys import (build, reflect, solve_linear, vec_add,
-                                  vec_scale)
+from affine_hecke.rootsys import build, reflect
 from affine_hecke.weights import height_character, make_tag, weight
 
 
 def gamma_with_pairings(rs, pairings):
-    """The weight in the span of the simple roots with the given root pairings."""
-    gram = tuple(
-        tuple(sum(a[k] * b[k] for k in range(rs.dim)) for b in rs.simple_roots)
-        for a in rs.simple_roots)
-    coeffs = solve_linear(gram, [Fraction(p) for p in pairings])
-    g = (Fraction(0),) * rs.dim
-    for c, a in zip(coeffs, rs.simple_roots):
-        g = vec_add(g, vec_scale(c, a))
-    return weight(rs, g)
+    """The weight in the span of the simple roots with the given root
+    pairings p_i = <gamma, a_i>: the sum of p_i d_i over the dual basis."""
+    den, dual = rs._dual_basis
+    return weight(rs, tuple(
+        sum(Fraction(p) * c for p, c in zip(pairings, col)) / den
+        for col in zip(*dual)))
 
 
 def eps7(j, i):
@@ -413,6 +409,17 @@ def test_conjugation_involution_with_coset_tags():
     back = rg.conjugate(conj.region)
     assert back.region.t == t
     assert back.region.J == reg.J
+
+
+def test_conjugation_refuses_a_z_outside_every_standard_parabolic():
+    # the tags leave only e3 - e1 with a trivial tag, so t is dominant and
+    # Z(t) = {e3 - e1}, which no standard parabolic subgroup has as roots
+    b = make_tag("b")
+    t = weight(build("A", 2, "GL"), (0, 5, 0), (b, (), b))
+    Z, _ = t.zp_sets()
+    assert Z == {(-1, 0, 1)}
+    with pytest.raises(UnsupportedType, match="standard parabolic"):
+        rg.conjugate(rg.local_region(t, ()))
 
 
 @settings(max_examples=40, deadline=None)

@@ -24,9 +24,8 @@ from affine_hecke.errors import (
     UndefinedTau,
     UnsupportedType,
 )
-from affine_hecke.rootsys import (_rank_nullspace, _solve_in_span, build,
-                                   mat_transpose, solve_linear, vec_add,
-                                   vec_neg, vec_scale)
+from affine_hecke.rootsys import (_rank_nullspace, _rref, build,
+                                   mat_transpose, vec_neg)
 from affine_hecke.scalars import ExactScalar, near
 from affine_hecke.weights import Weight, height_character, make_tag, weight
 
@@ -34,15 +33,12 @@ Q = ExactScalar.q_power(1)
 
 
 def gamma_with_pairings(rs, pairings, tags=None, ell=None):
-    """The weight in the span of the simple roots with the given root pairings."""
-    gram = tuple(
-        tuple(sum(a[k] * b[k] for k in range(rs.dim)) for b in rs.simple_roots)
-        for a in rs.simple_roots)
-    coeffs = solve_linear(gram, [Fraction(p) for p in pairings])
-    g = (Fraction(0),) * rs.dim
-    for c, a in zip(coeffs, rs.simple_roots):
-        g = vec_add(g, vec_scale(c, a))
-    return weight(rs, g, tags, ell)
+    """The weight in the span of the simple roots with the given root
+    pairings p_i = <gamma, a_i>: the sum of p_i d_i over the dual basis."""
+    den, dual = rs._dual_basis
+    return weight(rs, tuple(
+        sum(Fraction(p) * c for p, c in zip(pairings, col)) / den
+        for col in zip(*dual)), tags, ell)
 
 
 # -- principal series --------------------------------------------------------
@@ -508,6 +504,16 @@ def mat_scale(c, a):
     return tuple(tuple(c * x for x in row) for row in a)
 
 
+def solve_in_span(basis, target, ops):
+    """C with basis . C = target, from one elimination of [B | T]. The
+    pivots must be B's columns: B has independent columns and T lies in
+    their span."""
+    m = len(basis[0])
+    work = [list(b) + list(t) for b, t in zip(basis, target)]
+    assert _rref(work, m + len(target[0]), ops) == list(range(m))
+    return tuple(tuple(row[m:]) for row in work[:m])
+
+
 def test_tau_intertwines_the_lattice_action():
     rs = build("C", 2)
     t = gamma_with_pairings(rs, ("0", "1"))
@@ -516,9 +522,9 @@ def test_tau_intertwines_the_lattice_action():
     s = rs.simple_reflection(1)
     ops = rep._ops
     for g in rs.lattice_generators():
-        tgt = _solve_in_span(
+        tgt = solve_in_span(
             op.target_basis, mat_mul(rep.x_power(g), op.target_basis, ops), ops)
-        src = _solve_in_span(
+        src = solve_in_span(
             op.source_basis,
             mat_mul(rep.x_power(s.act(g)), op.source_basis, ops), ops)
         assert mat_eq(mat_mul(tgt, op.matrix, ops),
@@ -535,7 +541,7 @@ def test_tau_square_is_the_rational_operator():
     square = mat_mul(back.matrix, fwd.matrix, ops)
 
     alpha = rs.simple_roots[1]
-    restrict = lambda mu: _solve_in_span(
+    restrict = lambda mu: solve_in_span(
         fwd.source_basis, mat_mul(rep.x_power(mu), fwd.source_basis, ops),
         ops)
     xp, xm = restrict(alpha), restrict(vec_neg(alpha))

@@ -8,6 +8,7 @@ combinatorics, and ambient matrices multiplied out from simple reflections.
 import hashlib
 import itertools
 import json
+import operator
 import random
 from fractions import Fraction
 
@@ -25,10 +26,10 @@ from affine_hecke.rootsys import (
     identity_matrix,
     mat_transpose,
     reflect,
-    solve_linear,
     vec,
     weyl_cap,
 )
+from affine_hecke.weights import weight
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +414,40 @@ def test_the_ordered_walk_agrees_with_the_sorted_closure(label, rank, mode):
         assert w.inversion_set() == v.inversion_set()
 
 
+def banned_sets(rs, rng):
+    """Root sets to ban in a lower ideal: none, a random third of R+,
+    Z(t) + (P(t) - J) of a nonempty region (t, J), and all of R+."""
+    pos = rs.positive_roots
+    den, dual = rs._dual_basis
+    pairings = [k % 2 for k in range(rs.rank)]   # <gamma, a_k> in {0, 1}
+    t = weight(rs, tuple(Fraction(sum(map(operator.mul, pairings, col)), den)
+                         for col in zip(*dual)))
+    Z, P = t.zp_sets()
+    w = rng.choice([w for w in rs.weyl_elements()
+                    if not w.inversion_set() & Z])
+    J = w.inversion_set() & P
+    return (frozenset(), frozenset(rng.sample(pos, len(pos) // 3)),
+            Z | (P - J), frozenset(pos))
+
+
+@pytest.mark.parametrize("label,rank,mode", WALK_LADDER)
+def test_lower_ideals_are_the_filtered_walk_of_w(label, rank, mode):
+    # each ideal on a fresh system, so its lengths, words and inversion
+    # sets are seeded by its own walk
+    other = build(label, rank, lattice_mode=mode)
+    rng = random.Random(f"{label}{rank}{mode}")
+    for banned in banned_sets(other, rng):
+        ideal = build(label, rank, lattice_mode=mode)._lower_ideal(banned)
+        filtered = [w for w in other.weyl_elements()
+                    if not w.inversion_set() & banned]
+        assert len(ideal) == len(filtered)
+        for w, v in zip(ideal, filtered):
+            assert w.perm == v.perm
+            assert w.length() == v.length()
+            assert w.reduced_word() == v.reduced_word()
+            assert w.inversion_set() == v.inversion_set()
+
+
 @pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("G", 2)])
 def test_reduced_words_are_lex_least_by_brute_force(label, rank):
     rs = build(label, rank)
@@ -420,12 +455,6 @@ def test_reduced_words_are_lex_least_by_brute_force(label, rank):
     assert len(best) == rs.weyl_order()
     for w in rs.weyl_elements():
         assert w.reduced_word() == best[w.matrix]
-
-
-def test_solve_linear_returns_fractions_for_integer_input():
-    sol = solve_linear(((1, 0), (0, 2)), (1, 1))
-    assert sol == (Fraction(1), Fraction(1, 2))
-    assert all(type(c) is Fraction for c in sol)
 
 
 # ---------------------------------------------------------------------------
