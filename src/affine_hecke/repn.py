@@ -24,10 +24,14 @@ scalars: complex numbers at q0 (exp(i pi / ell) at a root of unity), with unit
 values for the tags.
 
 Verification is built in rather than trusted: every constructed module stores
-a relation report, checked column by column, weight space data is recomputed
-from the matrices, and irreducibility is measured as commutant dimension 1:
-the t-weight space of a principal series (Frobenius reciprocity), else solved
-block by block in a basis of generalized weight vectors.
+a relation report, checked column by column, and weight space data is
+recomputed from the matrices. The commutant dimension is the t-weight space of
+a principal series (Frobenius reciprocity), else solved block by block in a
+basis of generalized weight vectors. A commutant of 1 is Schur's necessary
+condition for irreducibility, not a proof of it: the reducible principal
+series at the A2 height character is indecomposable and has commutant 1
+(tests/test_repn.py::test_uniserial_module_hides_from_the_commutant). For a
+principal series, kato_irreducible decides irreducibility.
 """
 
 from __future__ import annotations
@@ -47,10 +51,9 @@ from .errors import (DivisionByZero, EmptyRegion, MixedCosetExact, NotRegular,
 from .regions import LocalRegion, chamber_set_pruned, is_skew
 from .rootsys import (RootSystem, WeylElt, _rank_nullspace, vec, vec_dot,
                       vec_neg)
-from .scalars import ExactScalar, near
+from .scalars import NUMERIC_TOL, ExactScalar, near
 from .weights import TRIVIAL_TAG, Weight
 
-NUMERIC_TOL = 1e-9   # entrywise tolerance for relation checks
 RANK_TOL = 1e-7      # singular value and clustering threshold
 # the block commutant solves dense rows over m^2 unknowns per generalized
 # weight space of width m > 1; past one width-24 space, refuse
@@ -327,16 +330,13 @@ class ModuleRep:
     @classmethod
     def from_matrices(cls, rs: RootSystem, basis, t_mats, x_mats, *,
                       weight=None, basis_weights=None, backend="exact",
-                      q0=None, kind="custom", verify=True):
-        """A module from dense matrices, given as sequences of rows.
+                      q0=None, verify=True):
+        """A "custom" module from dense matrices, given as sequences of rows.
 
         Every X must be upper triangular once the entries the scalars count
         as zero are dropped (UnsupportedType otherwise), and basis_weights,
-        when given, must match the X diagonals. kind "principal_series" is
-        refused: commutant_dim reads it as a module induced from t."""
+        when given, must match the X diagonals."""
         _check_backend(backend, ("exact", "numeric"))
-        if kind == "principal_series":
-            raise ValueError("only principal_series() builds that kind")
         if backend == "numeric":
             scalars = _NumericScalars(weight, q0)
         elif q0 is None:
@@ -344,7 +344,7 @@ class ModuleRep:
         else:
             raise ValueError("q0 applies to the numeric backend only")
         basis = tuple(basis)
-        rep = cls(rs, kind, basis,
+        rep = cls(rs, "custom", basis,
                   [_dense_to_columns(m, len(basis)) for m in t_mats],
                   [_dense_to_columns(m, len(basis)) for m in x_mats],
                   scalars, weight=weight, basis_weights=basis_weights)
@@ -663,12 +663,6 @@ class WeightSpaceDecomp:
     dim: int
     labels: tuple
     spaces: dict
-
-    def gen_dimensions(self) -> dict:
-        return {lab: self.spaces[lab][1] for lab in self.labels}
-
-    def dimensions(self) -> dict:
-        return {lab: self.spaces[lab][0] for lab in self.labels}
 
     def describe(self) -> dict:
         rows = []

@@ -108,10 +108,6 @@ def mat_transpose(m):
     return tuple(zip(*m))
 
 
-def identity_matrix(n):
-    return tuple(tuple(F1 if i == j else F0 for j in range(n)) for i in range(n))
-
-
 class _FractionOps:
     """Scalar ops for _rref below, over Fractions."""
 
@@ -370,9 +366,6 @@ class RootSystem:
     def is_positive_root(self, x) -> bool:
         return x in self._pos_set
 
-    def is_root(self, x) -> bool:
-        return x in self.root_index
-
     def simple_coefficients(self, root):
         """Coordinates of a positive root in the simple-root basis."""
         return tuple(map(Fraction, self._simple_coeffs[root]))
@@ -404,9 +397,6 @@ class RootSystem:
 
     def in_lattice(self, x) -> bool:
         return self.lattice_coords(x) is not None
-
-    def is_dominant(self, x) -> bool:
-        return all(vec_dot(x, a) >= 0 for a in self.simple_roots)
 
     # -- Weyl elements ---------------------------------------------------------
 
@@ -680,9 +670,6 @@ class WeylElt:
     def act_inverse(self, x):
         return self.inverse().act(x)
 
-    def is_identity(self) -> bool:
-        return self.perm == self.rs.identity().perm
-
     # -- length, inversions, words --------------------------------------------
 
     def inversions(self) -> tuple[int, ...]:
@@ -732,16 +719,6 @@ class WeylElt:
                 word = (i,) + word
                 v._word = word
         return self._word
-
-    def descent_set(self) -> frozenset:
-        """Simple roots a_i with w s_i < w (right descents)."""
-        n = len(self.rs.positive_roots)
-        return frozenset(
-            a for a, k in zip(self.rs.simple_roots, self.rs._simple_index)
-            if self.perm[k] >= n)
-
-    def weak_leq(self, other: "WeylElt") -> bool:
-        return self.inversion_set() <= other.inversion_set()
 
     def sort_key(self):
         return (self.length(), self.reduced_word())

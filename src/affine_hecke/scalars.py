@@ -23,7 +23,7 @@ from math import gcd, lcm
 from .errors import DivisionByZero, PoleAtSpecialization, ScaleMismatch
 
 # Tolerances for the numeric backend.
-EQ_TOL = 1e-9
+NUMERIC_TOL = 1e-9
 POLE_TOL = 1e-12
 
 _ZERO = Fraction(0)
@@ -342,9 +342,6 @@ class ExactScalar:
     def is_zero(self) -> bool:
         return not self.num
 
-    def is_one(self) -> bool:
-        return self.num == (_ONE,) and self.den == (_ONE,)
-
     def __bool__(self):
         return bool(self.num)
 
@@ -433,6 +430,6 @@ class ExactScalar:
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def near(a: complex, b: complex, tol: float = EQ_TOL) -> bool:
+def near(a: complex, b: complex, tol: float = NUMERIC_TOL) -> bool:
     """Approximate equality with a relative-absolute mixed tolerance."""
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))

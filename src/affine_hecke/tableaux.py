@@ -93,9 +93,6 @@ class StandardFilling:
     indices: tuple
     entries: tuple
 
-    def entry(self, index: int) -> int:
-        return self.entries[self.indices.index(index)]
-
     def as_dict(self) -> dict:
         return dict(zip(self.indices, self.entries))
 
@@ -122,12 +119,6 @@ class PlacedConfiguration:
     period: tuple | None
     n: int
 
-    def box(self, index: int) -> Box:
-        for b in self.boxes:
-            if b.index == index:
-                return b
-        raise KeyError(index)
-
     def pages(self) -> tuple:
         out = []
         for b in self.boxes:
@@ -143,10 +134,6 @@ class PlacedConfiguration:
                 raise HeckeError("configuration has several pages; pick one")
             page = labels[0]
         return {(b.x, b.y): b.index for b in self.boxes if b.page == page}
-
-    @property
-    def wrap_flags(self) -> dict:
-        return {(p.i, p.j): p.flag for p in self.pairs if p.wrap}
 
     @property
     def region(self) -> regions.LocalRegion:
@@ -1020,24 +1007,20 @@ def _typec_case(gamma) -> str:
     return "beta"
 
 
-def typec_configuration(t, J, case: str) -> PlacedConfiguration:
+def typec_configuration(t, J) -> PlacedConfiguration:
     """Rotation-stable configuration of a type C region.
 
     Boxes come in pairs b, -b with opposite contents; box -b sits at the
-    rotation of box b by 180 degrees.  Case "beta" gives a two-page book
-    (the second page the rotation of the first), cases "half" and "zero"
-    one self-rotating page.
+    rotation of box b by 180 degrees.  The entries' one fractional part sets
+    the case (_typec_case): "beta" gives a two-page book (the second page
+    the rotation of the first), "half" and "zero" one self-rotating page.
     """
     t = _coerce_weight(t, type_label="C")
     if t.rs.type_label != "C":
         raise UnsupportedType("typec_configuration needs a type C weight")
     gamma = t.gamma
     n = len(gamma)
-    detected = _typec_case(gamma)
-    if case not in ("beta", "half", "zero"):
-        raise CaseMismatch(f"unknown case {case!r}")
-    if detected != case:
-        raise CaseMismatch(f"entries have case {detected!r}, not {case!r}")
+    case = _typec_case(gamma)
     if any(gamma[a] > gamma[a + 1] for a in range(n - 1)):
         raise NotDominant("arrange the entries weakly increasing")
     if case in ("half", "zero") and gamma[0] < 0:

@@ -19,8 +19,8 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import BadEll, MixedCosetExact, UnsupportedType, WrongLattice
-from .rootsys import (RootSystem, WeylElt, _over_common_denominator, vec,
-                      vec_dot)
+from .rootsys import (RootSystem, WeylElt, _over_common_denominator,
+                      element_from_one_line, vec, vec_dot)
 from .scalars import ExactScalar
 
 TRIVIAL_TAG: tuple = ()
@@ -224,7 +224,6 @@ class Weight:
         return Weight(rs, gamma, None, self.ell), w
 
     def _sorted_representative(self):
-        from .rootsys import element_from_one_line
         rs = self.rs
         n = rs.dim
         entries = []

@@ -58,7 +58,7 @@ def test_braid_relations(label, rank):
     t2 = AlgebraElt.t_generator(rs, 1)
     prod = rs.simple_reflection(0) * rs.simple_reflection(1)
     m, p = 1, prod
-    while not p.is_identity():
+    while p != rs.identity():
         p = p * prod
         m += 1
     left = AlgebraElt.one(rs)

@@ -1,12 +1,13 @@
 """Every private helper of the library is used somewhere in the library,
-every parameter of a function is read by its body, and every imported name is
-read by its module."""
+every public name is read in the library or the benchmark or kept for a stated
+reason, every parameter of a function is read by its body, and every imported
+name is read by its module."""
 
 import ast
 import inspect
 from pathlib import Path
 
-from affine_hecke import repn
+from affine_hecke import repn, tableaux
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "affine_hecke"
@@ -75,18 +76,62 @@ def test_no_imported_name_is_unread():
     assert not unread, f"imported names that their module never reads: {unread}"
 
 
-def test_every_public_function_of_algebra_has_a_reader():
-    # the bench drives orbit_sum and is_central; nothing else reads them
-    trees = [ast.parse(path.read_text())
-             for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py"))]
-    used = set().union(*map(_references, trees))
-    algebra = ast.parse((SRC / "algebra.py").read_text())
-    public = [node.name for node in algebra.body
-              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-              and not node.name.startswith("_")]
-    assert "orbit_sum" in public
-    unread = sorted(name for name in public if name not in used)
-    assert not unread, f"public functions of algebra.py with no reader: {unread}"
+# Public names that nothing in src or bench reads, each kept for its reason.
+# The pin matches by name, so a method hides behind any namesake with a
+# reader: RootSystem.is_dominant hid behind Weight.is_dominant and
+# StandardFilling.entry behind the scalars' entry, and both were deleted by
+# reading, not by this pin.
+KEPT_UNREAD = {
+    # the paper's surface, read by the tests
+    "periodic_configuration", "typec_configuration", "configuration_to_skew",
+    "conjugate_configuration", "conjugate_filling", "reading_tableaux",
+    "tau_operator", "is_invertible", "generalized_weight_basis",
+    "height_character",
+    "direct_sum",            # the block commutant's fixture
+    "closure",               # a biclosedness check that validates its input
+    "simple_coefficients",   # the only public route to those coordinates
+    "x_power",               # a dense view, like t_mats
+    "parse",                 # the inverse of serialize
+    # the inputs and outputs of the planned CLI (ROADMAP item 10)
+    "parse_gamma", "parse_tag", "to_dict", "render_text",
+    "classify_configuration", "describe",
+}
+
+
+def _public_defs(tree, module):
+    """(module:qualified name, name) for the public module-level functions
+    and classes, and the public methods and properties of those classes."""
+    defs = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            defs.append((f"{module}:{node.name}", node.name))
+        if isinstance(node, ast.ClassDef):
+            defs += [(f"{module}:{node.name}.{item.name}", item.name)
+                     for item in node.body
+                     if isinstance(item, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef))
+                     and not item.name.startswith("_")]
+    return defs
+
+
+def test_every_public_name_has_a_reader_or_a_reason():
+    src = {path.name: ast.parse(path.read_text())
+           for path in sorted(SRC.glob("*.py"))}
+    bench = [ast.parse(path.read_text()) for path in sorted(BENCH.glob("*.py"))]
+    used = set().union(*map(_references, [*src.values(), *bench]))
+    public = [d for module, tree in src.items()
+              for d in _public_defs(tree, module)]
+    names = {name for _, name in public}
+    assert {"orbit_sum", "RootSystem", "weyl_elements"} <= names
+    assert KEPT_UNREAD <= names, f"not defined: {sorted(KEPT_UNREAD - names)}"
+    unread = sorted(label for label, name in public
+                    if name not in used and name not in KEPT_UNREAD)
+    assert not unread, f"public names with no reader in src or bench: {unread}"
+    read = sorted(KEPT_UNREAD & used)
+    assert not read, f"kept as unread, but now read: {read}"
 
 
 def _unread_parameters(tree):
@@ -305,6 +350,18 @@ def test_fillings_are_coerced_in_one_place():
 # module's own scalars, so no exact module is copied to floats.
 def test_commutant_dim_takes_the_module_alone():
     assert list(inspect.signature(repn.commutant_dim).parameters) == ["rep"]
+
+
+# The type C case is read off the entries, and a module built from matrices
+# is always "custom": neither is a parameter.
+def test_typec_configuration_takes_the_region_alone():
+    assert list(inspect.signature(
+        tableaux.typec_configuration).parameters) == ["t", "J"]
+
+
+def test_from_matrices_takes_no_kind():
+    assert "kind" not in inspect.signature(
+        repn.ModuleRep.from_matrices).parameters
 
 
 def test_no_float_copy_of_an_exact_module_is_defined():

@@ -104,7 +104,7 @@ def test_weak_order_is_the_subset_order_on_inversion_sets(label, rank, mode):
     pairs += [(u, u * v) for u, v in pairs[:50]]
     for u, v in pairs:
         subset = reference_inversion_set(u) <= reference_inversion_set(v)
-        assert u.weak_leq(v) == subset
+        assert (u.inversion_set() <= v.inversion_set()) == subset
         # R(u) <= R(v) exactly when v = x u with l(v) = l(x) + l(u)
         assert subset == (v.length()
                           == (v * u.inverse()).length() + u.length())

@@ -53,7 +53,7 @@ def test_height_character_fibers_are_descent_classes():
     assert sizes == {0: 1, 1: 2, 2: 1}
     for J, F in fib.items():
         for w in F:
-            assert w.descent_set() == J
+            assert w.inversion_set() & frozenset(rs.simple_roots) == J
 
 
 def test_regular_integral_fibers_restrict_descents():
@@ -67,7 +67,8 @@ def test_regular_integral_fibers_restrict_descents():
     assert sum(len(F) for F in fib.values()) == 24
     for J, F in fib.items():
         assert set(F.elements) == {
-            w for w in rs.weyl_elements() if w.descent_set() & P == J}
+            w for w in rs.weyl_elements()
+            if w.inversion_set() & frozenset(rs.simple_roots) & P == J}
 
 
 def test_c2_singular_weight_fibers():

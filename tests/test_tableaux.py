@@ -22,7 +22,7 @@ from affine_hecke.errors import (BadCap, BadEll, CaseMismatch, EmptyRegion,
                                  NotStandard, TooLarge, UnsupportedType)
 from affine_hecke.rootsys import build
 from affine_hecke.scalars import ExactScalar
-from affine_hecke.weights import weight
+from affine_hecke.weights import Weight, weight
 
 
 def skew_shapes(k):
@@ -145,7 +145,8 @@ def test_to_dict_survives_a_json_round_trip():
 
 def test_wrap_flags_name_the_pairs_across_the_period():
     cfg = tb.periodic_configuration((0, 0, 1, 2, 3), [], ell=4)
-    assert cfg.wrap_flags == {(1, 5): "NW", (2, 5): "NW"}
+    assert {(p.i, p.j): p.flag for p in cfg.pairs if p.wrap} == {
+        (1, 5): "NW", (2, 5): "NW"}
 
 
 def periodic_copies_are_disjoint(cfg):
@@ -247,7 +248,7 @@ def test_typec_fillings_match_chambers(case):
         t = weight(build("C", len(gamma)), gamma)
         for J in subsets(t.zp_sets()[1]):
             try:
-                cfg = tb.typec_configuration(t, J, case)
+                cfg = tb.typec_configuration(t, J)
             except HeckeError:
                 continue
             accepted += 1
@@ -258,15 +259,17 @@ def test_typec_fillings_match_chambers(case):
     assert accepted == {"beta": 31, "half": 62, "zero": 40}[case]
 
 
-@pytest.mark.parametrize("gamma,case,match", [
-    ((0, 1), "gamma", "unknown case"),
-    ((0, 1), "half", "case 'zero', not 'half'"),
-    ((H, 1), "half", "one fractional part"),
-])
-def test_typec_configuration_refuses_the_wrong_case(gamma, case, match):
-    t = weight(build("C", 2), gamma)
-    with pytest.raises(CaseMismatch, match=match):
-        tb.typec_configuration(t, (), case)
+@pytest.mark.parametrize("gamma,case", [
+    ((T, 1 + T), "beta"), ((H, 1 + H), "half"), ((0, 1), "zero")])
+def test_typec_configuration_reads_its_case_from_the_entries(gamma, case):
+    cfg = tb.typec_configuration(weight(build("C", 2), gamma), ())
+    assert cfg.case == case
+
+
+def test_typec_configuration_refuses_mixed_fractional_parts():
+    t = weight(build("C", 2), (H, 1))
+    with pytest.raises(CaseMismatch, match="one fractional part"):
+        tb.typec_configuration(t, ())
 
 
 @pytest.mark.parametrize("ell", [3, 4, 5])
@@ -294,7 +297,7 @@ def one_row(n):
 
 def half_chain(n):
     t = weight(build("C", n), tuple(H + k for k in range(n)))
-    return tb.typec_configuration(t, (), "half")
+    return tb.typec_configuration(t, ())
 
 
 def test_the_enumeration_cap_is_set_by_its_environment_variable(monkeypatch):
@@ -347,11 +350,11 @@ def _pinned_builds():
             t = weight(rs, gamma, ell=ell)
             for J in subsets(t.zp_sets()[1]):
                 yield tb.periodic_configuration, (t, J)
-    for case, gammas in sorted(TYPEC_WEIGHTS.items()):
+    for _, gammas in sorted(TYPEC_WEIGHTS.items()):
         for gamma in gammas:
             t = weight(build("C", len(gamma)), gamma)
             for J in subsets(t.zp_sets()[1]):
-                yield tb.typec_configuration, (t, J, case)
+                yield tb.typec_configuration, (t, J)
 
 
 def _pinned_record(builder, args):
@@ -416,8 +419,11 @@ def test_periodic_configuration_refuses_bad_input(t, J, ell, error, match):
     ((0, 1), [(1, 1)], "zero", EmptyRegion, "not closed under Z"),
 ])
 def test_typec_configuration_refuses_bad_input(t, J, case, error, match):
+    # case is the one the entries give: each refusal is for another reason
+    gamma = t.gamma if isinstance(t, Weight) else t
+    assert tb._typec_case(gamma) == case
     with pytest.raises(error, match=match):
-        tb.typec_configuration(t, J, case)
+        tb.typec_configuration(t, J)
 
 
 # -- books of pages ---------------------------------------------------------------
@@ -445,7 +451,7 @@ def test_two_pages_are_classified_page_by_page(J):
 def test_render_text_heads_each_page_and_ends_with_the_period():
     two = tb.region_to_configuration(TWO_PAGES, [])
     assert tb.render_text(two) == "page 0:\n[0][1]\npage 1/2:\n[1/2][3/2]"
-    typec = tb.typec_configuration(weight(build("C", 2), (0, 1)), [], "zero")
+    typec = tb.typec_configuration(weight(build("C", 2), (0, 1)), [])
     assert tb.render_text(typec) == "page 0:\n[-1][ 0]\n        [ 0][ 1]"
     periodic = tb.periodic_configuration((0, 1, 2), [], ell=4)
     assert tb.render_text(periodic) == "[0][1][2]\nperiod: (3, 1)"
@@ -466,7 +472,7 @@ def test_validate_filling_names_each_kind_of_violation():
     assert tb.validate_filling(column, [2, 1, 3]) == ({
         "i": 1, "j": 2, "kind": "Z",
         "required": "p(1) < p(2) along the diagonal"},)
-    typec = tb.typec_configuration(weight(build("C", 2), (0, 1)), [], "zero")
+    typec = tb.typec_configuration(weight(build("C", 2), (0, 1)), [])
     assert tb.validate_filling(typec, [2, -1, 1, 2]) == ({
         "i": -2, "j": 2, "kind": "symmetry", "required": "p(-b) = -p(b)"},)
     assert tb.validate_filling(typec, [-2, -1, 1, 2]) == ()
