@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from itertools import repeat
 from math import factorial, lcm
 from operator import mul
 
@@ -69,7 +70,7 @@ def weyl_cap() -> int:
 
 # ---------------------------------------------------------------------------
 # small exact vector helpers on public values (tuples of Fractions); roots
-# and Weyl matrices are integers inside (_root_coords, WeylElt._imat)
+# and Weyl matrices are integers inside (_root_coords, RootSystem._imats)
 # ---------------------------------------------------------------------------
 
 def vec(xs) -> tuple[Fraction, ...]:
@@ -184,7 +185,8 @@ _POSITIVE_COUNTS = {
 
 
 class RootSystem:
-    """Crystallographic root data with exact rational coordinates."""
+    """Crystallographic root data with exact rational coordinates. It owns
+    the data of its Weyl elements, per element id, and holds no WeylElt."""
 
     def __init__(self, type_label: str, rank: int, lattice_mode: str = "P"):
         type_label = type_label.upper()
@@ -200,7 +202,6 @@ class RootSystem:
         simple_perms = self._generate_roots()
         self._compute_weights()
         self.key = (type_label, rank, lattice_mode)
-        self._element_cache: dict = {}
         self._coords_cache: dict = {}
         self._rank_two: dict = {}  # regions.rank_two_positive, per (i, j)
         self._singletons: tuple | None = None  # see _positive_singletons
@@ -210,10 +211,22 @@ class RootSystem:
         # (den, nums) of each lattice generator, for Weight._signature
         self._lattice_ints = tuple(map(_over_common_denominator,
                                        self._lattice))
-        self._all_elements: tuple | None = None
-        self._identity = self._elt(tuple(range(len(self.roots))))
-        self._simple_reflections = tuple(self._elt(p) for p in simple_perms)
-        # keyed by positive root index, like reflection() below
+        # per-element data, indexed by element id (see _id): a WeylElt is a
+        # handle over it, and nothing here holds a WeylElt, so a root system
+        # nobody references is freed at once, not by the cyclic collector
+        self._ids: dict = {}     # perm -> id
+        self._perms: list = []
+        self._hashes: list = []
+        self._lens: list = []
+        self._words: list = []
+        self._invs: list = []
+        self._imats: list = []   # (den, rows of den * matrix), see act
+        self._inverses: list = []
+        self._all_ids: tuple | None = None  # W in weyl_elements' order
+        # ids of e, the s_i and, keyed by positive root index like
+        # reflection() below, the reflections found so far
+        self._identity = self._id(tuple(range(len(self.roots))))
+        self._simple_reflections = tuple(map(self._id, simple_perms))
         self._reflections = dict(zip(self._simple_index,
                                      self._simple_reflections))
         self._one_line_roots = self._unit_vector_roots()
@@ -401,30 +414,40 @@ class RootSystem:
     # -- Weyl elements ---------------------------------------------------------
 
     def identity(self) -> "WeylElt":
-        return self._identity
+        return WeylElt(self, self._identity)
 
     def simple_reflection(self, i: int) -> "WeylElt":
-        return self._simple_reflections[i]
+        return WeylElt(self, self._simple_reflections[i])
 
     def reflection(self, alpha) -> "WeylElt":
         k = self.root_index.get(vec(alpha))
         if k is None:
             raise ValueError("reflection requires a root")
         k %= len(self.positive_roots)
-        w = self._reflections.get(k)
-        if w is None:
+        r = self._reflections.get(k)
+        if r is None:
             alpha = self.roots[k]
-            w = self._elt(tuple(self.root_index[reflect(alpha, b)]
-                                for b in self.roots))
-            self._reflections[k] = w
-        return w
+            r = self._reflections[k] = self._id(tuple(
+                self.root_index[reflect(alpha, b)] for b in self.roots))
+        return WeylElt(self, r)
+
+    def _id(self, perm) -> int:
+        """The id of the element with root permutation perm, registered
+        with empty data on first sight."""
+        k = self._ids.get(perm)
+        if k is None:
+            k = self._ids[perm] = len(self._perms)
+            self._perms.append(perm)
+            self._hashes.append(hash(perm))
+            self._lens.append(None)
+            self._words.append(None)
+            self._invs.append(None)
+            self._imats.append(None)
+            self._inverses.append(None)
+        return k
 
     def _elt(self, perm) -> "WeylElt":
-        w = self._element_cache.get(perm)
-        if w is None:
-            w = WeylElt(self, perm)
-            self._element_cache[perm] = w
-        return w
+        return WeylElt(self, self._id(perm))
 
     def element_from_word(self, word) -> "WeylElt":
         w = self.identity()
@@ -444,12 +467,13 @@ class RootSystem:
         if self.weyl_order() > limit:
             raise GroupTooLarge(
                 f"|W| = {self.weyl_order()} exceeds cap {limit}")
-        if self._all_elements is None:
+        if self._all_ids is None:
             elements = self._lower_ideal(())
             if len(elements) != self.weyl_order():
                 raise AssertionError("Weyl enumeration count mismatch")
-            self._all_elements = elements
-        return self._all_elements
+            self._all_ids = tuple(w.id for w in elements)
+            return elements
+        return tuple(map(WeylElt, repeat(self), self._all_ids))
 
     def _lower_ideal(self, banned) -> tuple["WeylElt", ...]:
         """{w : R(w) cap banned empty} for positive roots banned, a lower
@@ -464,16 +488,17 @@ class RootSystem:
         word, as R(s_i w) lies inside R(w) and so s_i w in the previous layer
         of the same ideal; each layer thus comes out in (length, reduced
         word) order (Bjoerner and Brenti, GTM 231, ch. 3; Casselman,
-        Electron. J. Combin. 9, 2002). Each element gets its length, reduced
-        word and inversion set as it is found.
+        Electron. J. Combin. 9, 2002). Each element's length, reduced word
+        and inversion set are recorded as it is found.
         """
         n = len(self.positive_roots)
         single = self._positive_singletons()
         banned = {self.root_index[a] for a in banned}
-        gens = [(i, k, s.perm) for i, (k, s) in enumerate(
+        lens, words, invs = self._lens, self._words, self._invs
+        gens = [(i, k, self._perms[r]) for i, (k, r) in enumerate(
             zip(self._simple_index, self._simple_reflections))]
-        e = self._identity
-        e._len, e._word, e._inv = 0, (), frozenset()
+        e = self.identity()
+        lens[e.id], words[e.id], invs[e.id] = 0, (), frozenset()
         elements = [e]
         layer = [e]
         while layer:
@@ -483,13 +508,13 @@ class RootSystem:
                     j = v.perm.index(k)
                     if j >= n or j in banned:
                         continue
-                    inv = v._inv | single[j]
+                    inv = invs[v.id] | single[j]
                     if inv not in found:
                         w = found[inv] = self._elt(
                             tuple(map(s.__getitem__, v.perm)))
-                        w._len = v._len + 1
-                        w._word = (i,) + v._word
-                        w._inv = inv
+                        lens[w.id] = lens[v.id] + 1
+                        words[w.id] = (i,) + words[v.id]
+                        invs[w.id] = inv
             layer = list(found.values())
             elements += layer
         return tuple(elements)
@@ -597,29 +622,29 @@ def build(type_label: str, rank: int, lattice_mode: str = "P") -> RootSystem:
 # ---------------------------------------------------------------------------
 
 class WeylElt:
-    """A Weyl group element, stored as the permutation it induces on the roots.
+    """A Weyl group element: a handle (rs, perm, id, hash) over its root
+    system's data.
 
     perm[k] is the index in rs.roots of w(rs.roots[k]), so w sends the
-    positive root k to a negative root exactly when perm[k] >= N. Each root
-    system keeps one instance per permutation. Equality also compares the
-    root system, since B_n and C_n index their roots alike. The ambient
-    matrix is cached in integers, as den and the rows of den * matrix, on
-    first use by `act` on a vector that is not a root; `matrix` is a
-    Fraction view of it.
+    positive root k to a negative root exactly when perm[k] >= N. The root
+    system gives each permutation one id and keeps, per id, the cached
+    length, reduced word, inversion set, integer matrix and inverse, so
+    every handle to an element shares them. Handles point at their root
+    system and nothing points back: dropping the last reference to a root
+    system frees it with its data. Equality compares ids within one root
+    system, else the root system's key and the permutation, since B_n and
+    C_n index their roots alike. The ambient matrix is cached in integers,
+    as den and the rows of den * matrix, on first use by `act` on a vector
+    that is not a root; `matrix` is a Fraction view of it.
     """
 
-    __slots__ = ("rs", "perm", "_hash", "_imat", "_len", "_inv", "_word",
-                 "_inverse")
+    __slots__ = ("rs", "perm", "id", "_hash")
 
-    def __init__(self, rs: RootSystem, perm):
+    def __init__(self, rs: RootSystem, k: int):
         self.rs = rs
-        self.perm = perm
-        self._hash = hash(perm)
-        self._imat = None
-        self._len = None
-        self._inv = None
-        self._word = None
-        self._inverse = None
+        self.perm = rs._perms[k]
+        self.id = k
+        self._hash = rs._hashes[k]
 
     # -- basic group structure ----------------------------------------------
 
@@ -627,13 +652,15 @@ class WeylElt:
         return self.rs._elt(tuple(map(self.perm.__getitem__, other.perm)))
 
     def inverse(self) -> "WeylElt":
-        if self._inverse is None:
+        rs = self.rs
+        k = rs._inverses[self.id]
+        if k is None:
             inv = [0] * len(self.perm)
-            for k, j in enumerate(self.perm):
-                inv[j] = k
-            self._inverse = self.rs._elt(tuple(inv))
-            self._inverse._inverse = self
-        return self._inverse
+            for a, b in enumerate(self.perm):
+                inv[b] = a
+            k = rs._inverses[self.id] = rs._id(tuple(inv))
+            rs._inverses[k] = self.id
+        return WeylElt(rs, k)
 
     @property
     def matrix(self):
@@ -648,7 +675,8 @@ class WeylElt:
         k = rs.root_index.get(x)
         if k is not None:
             return rs.roots[self.perm[k]]
-        if self._imat is None:
+        imat = rs._imats[self.id]
+        if imat is None:
             # w(x) = x + sum_i <x, d_i> (w(a_i) - a_i), d_i dual to the simple
             # roots a_i in their span (w fixes its complement); den * matrix
             den, dual = rs._dual_basis
@@ -660,9 +688,9 @@ class WeylElt:
                                                coords[k])):
                     if a != b:
                         rows[p] = [u + (a - b) * v for u, v in zip(rows[p], d)]
-            self._imat = (den, rows)
+            imat = rs._imats[self.id] = (den, rows)
         # x = nums / xden in integers, then one Fraction per coordinate
-        den, rows = self._imat
+        den, rows = imat
         xden, nums = _over_common_denominator(x)
         return tuple(Fraction(sum(map(mul, row, nums)), den * xden)
                      for row in rows)
@@ -680,45 +708,49 @@ class WeylElt:
 
     def inversion_set(self) -> frozenset:
         """R(w) = positive roots sent negative by w, a union of the root
-        system's _positive_singletons: seeded by weyl_elements as it walks
-        W, else the union over inversions()."""
-        if self._inv is None:
+        system's _positive_singletons: recorded by the walk of W, else the
+        union over inversions()."""
+        invs = self.rs._invs
+        inv = invs[self.id]
+        if inv is None:
             single = self.rs._positive_singletons()
-            self._inv = frozenset().union(*map(single.__getitem__,
-                                               self.inversions()))
-        return self._inv
+            inv = invs[self.id] = frozenset().union(
+                *map(single.__getitem__, self.inversions()))
+        return inv
 
     def length(self) -> int:
-        if self._len is None:
+        lens = self.rs._lens
+        ell = lens[self.id]
+        if ell is None:
             n = len(self.rs.positive_roots)
-            self._len = sum(1 for j in self.perm[:n] if j >= n)
-        return self._len
+            ell = lens[self.id] = sum(1 for j in self.perm[:n] if j >= n)
+        return ell
 
     def reduced_word(self) -> tuple[int, ...]:
         """Lexicographically least reduced word, via left descent stripping.
 
         Its first letter is the least left descent i, that is the least i
         with w^-1(a_i) < 0, and the rest is the word of s_i w, which is
-        cached on that element in turn.
+        recorded for that element in turn.
         """
-        if self._word is None:
-            rs = self.rs
+        rs = self.rs
+        words = rs._words
+        if words[self.id] is None:
             n = len(rs.positive_roots)
             chain = []
             w = self
-            while w._word is None:
+            while words[w.id] is None:
                 i = next((i for i, k in enumerate(rs._simple_index)
                           if w.perm.index(k) >= n), None)
                 if i is None:
-                    w._word = ()
+                    words[w.id] = ()
                     break
-                chain.append((w, i))
+                chain.append((w.id, i))
                 w = rs.simple_reflection(i) * w
-            word = w._word
-            for v, i in reversed(chain):
-                word = (i,) + word
-                v._word = word
-        return self._word
+            word = words[w.id]
+            for k, i in reversed(chain):
+                word = words[k] = (i,) + word
+        return words[self.id]
 
     def sort_key(self):
         return (self.length(), self.reduced_word())
@@ -747,9 +779,11 @@ class WeylElt:
         return tuple(out)
 
     def __eq__(self, other):
-        return self is other or (
-            isinstance(other, WeylElt) and self.rs.key == other.rs.key
-            and self.perm == other.perm)
+        if not isinstance(other, WeylElt):
+            return False
+        if self.rs is other.rs:
+            return self.id == other.id
+        return self.rs.key == other.rs.key and self.perm == other.perm
 
     def __hash__(self):
         return self._hash

@@ -665,6 +665,7 @@ def enumerate_standard(config: PlacedConfiguration):
 
     rec(-config.n if signed else 1,
         sorted(b for b in indices if preds[b] == 0))
+    del rec  # it holds itself through its closure cell: break that cycle
     out.sort()
     return tuple(StandardFilling(tuple(indices), e) for e in out)
 

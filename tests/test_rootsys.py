@@ -461,6 +461,81 @@ def test_reduced_words_are_lex_least_by_brute_force(label, rank):
 
 
 # ---------------------------------------------------------------------------
+# elements as handles: one element however it is reached
+# ---------------------------------------------------------------------------
+
+def five_routes(system, word):
+    """The reflection in the highest root of B3, of reduced word `word`,
+    reached five ways, each on the root system system() returns: a
+    conjugate s_i s_beta' s_i, the walk of W, element_from_word,
+    inverse().inverse() and reflection."""
+    rs = system()
+    s = rs.simple_reflection(word[0])
+    by_product = s * rs.reflection(reflect(rs.simple_roots[word[0]],
+                                           HIGHEST_B3)) * s
+    rs = system()
+    by_walk = next(w for w in rs.weyl_elements() if w.reduced_word() == word)
+    by_word = system().element_from_word(word)
+    rs = system()  # a reflection is its own inverse: the word reversed
+    by_inverse = rs.element_from_word(word[::-1]).inverse().inverse()
+    by_reflection = system().reflection(HIGHEST_B3)
+    return by_product, by_walk, by_word, by_inverse, by_reflection
+
+
+HIGHEST_B3 = vec([1, 1, 0])
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["one", "fresh"])
+def test_every_route_reaches_one_element(shared):
+    # on one root system the routes share an id; on fresh ones each route
+    # finds its length, word and inversion set on its own
+    one = build("B", 3)
+    ref = build("B", 3).reflection(HIGHEST_B3)
+    word = ref.reduced_word()
+    routes = five_routes((lambda: one) if shared else (lambda: build("B", 3)),
+                         word)
+    first = routes[0]
+    table = {first: "found"}
+    for w in routes:
+        assert w == first and first == w and not w != first
+        assert w == ref and w.perm == ref.perm
+        assert hash(w) == hash(first) == hash(ref)
+        assert table[w] == "found"
+        assert w.length() == len(word) == len(w.inversion_set()) == 7
+        assert w.reduced_word() == first.reduced_word()
+        assert w.inversion_set() == first.inversion_set()
+    assert len(set(routes)) == 1
+    if shared:
+        assert len({w.id for w in routes}) == 1
+
+
+def test_b_and_c_elements_with_one_permutation_stay_unequal():
+    # B3 and C3 index their roots alike; e and w0 = -1 permute them alike
+    b, c = build("B", 3), build("C", 3)
+    pairs = [(b.identity(), c.identity()),
+             (b.long_element(), c.long_element())]
+    assert ({w.perm for w in b.weyl_elements()}
+            & {w.perm for w in c.weyl_elements()}) == {u.perm for u, _ in pairs}
+    for u, v in pairs:
+        assert u.perm == v.perm
+        assert u != v and not u == v
+        assert {u: "B"}.get(v) is None
+        assert len({u, v}) == 2
+        assert u == build("B", 3).element_from_word(u.reduced_word())
+
+
+def test_an_element_outlives_the_name_of_its_root_system():
+    rs = build("A", 3)
+    w = rs.element_from_word((0, 1, 2))
+    del rs
+    assert w.length() == 3
+    assert w.reduced_word() == (0, 1, 2)
+    assert w.inverse() * w == w.rs.identity()
+    assert w.act(w.inverse().act((1, 2, 3, 4))) == vec([1, 2, 3, 4])
+    assert w in w.rs.weyl_elements()
+
+
+# ---------------------------------------------------------------------------
 # closed subsets of R+
 # ---------------------------------------------------------------------------
 
